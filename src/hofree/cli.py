@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hofree",
         description="exact and Monte-Carlo checks for spectra of unitary-group "
                     "representations against free probability")
-    parser.add_argument("--seed", type=int, default=1, help="master RNG seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master RNG seed (default: the config's, else 1)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for CSV/JSON/SVG files")
     parser.add_argument("--config", type=Path, default=None,
@@ -116,10 +117,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# config-file keys: what each must be, and the check
+_CONFIG_SCHEMA = {
+    "schedule": ("a list of integers", _is_int_list),
+    "corner_sizes": ("a list of integers", _is_int_list),
+    "eps_exponent": ("a number", _is_number),
+    "amplitude": ("a number", _is_number),
+    "row_amplitude": ("a number", _is_number),
+    "alpha": ("a number or a rational string such as \"1/2\"",
+              lambda v: _is_number(v) or isinstance(v, str)),
+    "replicas": ("an integer", _is_int),
+    "max_order": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+}
+
+
+def _read_config(path: Path) -> dict:
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path}: expected a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_SCHEMA))
+    if unknown:
+        raise ValueError(f"config {path}: unknown keys {unknown}; allowed: "
+                         f"{sorted(_CONFIG_SCHEMA)}")
+    for key, value in raw.items():
+        what, ok = _CONFIG_SCHEMA[key]
+        if not ok(value):
+            raise ValueError(f"config {path}: {key!r} must be {what}, "
+                             f"got {value!r}")
+    return raw
+
+
 def _load_config(args, **defaults) -> experiments.ExperimentConfig:
-    raw = {}
-    if args.config is not None:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    """Flags override the config file, which overrides the defaults."""
+    raw = {} if args.config is None else _read_config(Path(args.config))
     kwargs = dict(defaults)
     for key in ("schedule", "eps_exponent", "amplitude", "row_amplitude",
                 "alpha", "corner_sizes", "replicas", "max_order"):
@@ -264,6 +307,8 @@ def cmd_hof_check(args) -> int:
 def cmd_simulate(args) -> int:
     if args.replicas is None:
         args.replicas = 1000
+    if args.seed is None:
+        args.seed = 1
     spec = rmt.EnsembleSpec.fixed(args.spectrum, eps=args.eps)
     table = rmt.trace_statistics(spec, args.powers, replicas=args.replicas,
                                  seed=args.seed, threads=args.threads)

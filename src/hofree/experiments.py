@@ -138,10 +138,10 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
     rows = []
     orders = tuple(range(1, config.max_order + 1))
     alpha = Fraction(config.alpha)
+    corner = {n: _corner_rank(alpha, n)
+              for n in (*config.schedule, *config.corner_sizes)}
     for n in config.schedule:
-        m = int(alpha * n)
-        if not 1 <= m <= n:
-            raise ValueError(f"alpha = {alpha} gives no valid corner at n = {n}")
+        m = corner[n]
         lam = bulk_profile(n, config.amplitude)
         l = ShiftedWeight.from_highest_weight(lam)
         eps = config.eps(n)
@@ -174,7 +174,7 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
     for n in config.corner_sizes:
         if n in config.schedule:
             continue
-        m = int(alpha * n)
+        m = corner[n]
         lam = bulk_profile(n, config.amplitude)
         l = ShiftedWeight.from_highest_weight(lam)
         eps = config.eps(n)
@@ -196,6 +196,17 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
                 "compress_target_exact": Fraction(target[i]),
             })
     return rows
+
+
+def _corner_rank(alpha: Fraction, n: int) -> int:
+    """m = alpha * n, refused unless it is an integer in [1, n]: the corner
+    and the branching target are compared with compression at alpha, which
+    is the right target only when m / n is alpha itself."""
+    m = alpha * n
+    if m.denominator != 1 or not 1 <= m <= n:
+        raise ValueError(f"alpha * n must be an integer in [1, n]; "
+                         f"got alpha = {alpha} at n = {n}")
+    return int(m)
 
 
 def corner_monte_carlo(entries: Sequence, eps: float, m: int,

@@ -16,14 +16,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, prod
 from typing import Sequence
 
-from .errors import GuardError
+from .errors import GuardError, InvariantError
 
 LR_MAX_RANK = 8
 LR_MAX_CELLS = 40
 PUSHFORWARD_MAX_COMPONENTS = 10 ** 7
+# entries kept by the Weyl-dimension cache; bounds its memory
+WEYL_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -59,7 +61,7 @@ class ShiftedWeight:
         return sum(x ** k for x in self.entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEYL_CACHE_SIZE)
 def _weyl_dimension_cached(entries: tuple[int, ...]) -> int:
     num = 1
     den = 1
@@ -69,7 +71,8 @@ def _weyl_dimension_cached(entries: tuple[int, ...]) -> int:
             num *= entries[i] - entries[j]
             den *= j - i
     dim, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"Weyl product not divisible at {entries}")
     return dim
 
 
@@ -122,7 +125,9 @@ def zelobenko_weights(l: ShiftedWeight) -> tuple[Fraction, ...]:
                 d = li - lj
                 g *= Fraction(d - 1, d)
         out.append(g)
-    assert sum(out) == 1
+    if sum(out) != 1:
+        raise InvariantError(f"Zelobenko weights of {l.entries} do not sum "
+                             f"to one")
     return tuple(out)
 
 
@@ -284,7 +289,7 @@ def sample_component(d: WeightedDecomposition, rng) -> ShiftedWeight:
         acc += m * weyl_dimension(l)
         if t < acc:
             return l
-    raise AssertionError("unreachable: weights sum to the total dimension")
+    raise InvariantError("component weights do not sum to the total dimension")
 
 
 def _uniform_below(rng, bound: int) -> int:
@@ -384,7 +389,9 @@ def lr_tensor_decompose(lam: Sequence[int], mu: Sequence[int],
     result = WeightedDecomposition.from_dict(n, table)
     lhs = _weyl_dimension_cached(ShiftedWeight.from_highest_weight(lam).entries) \
         * _weyl_dimension_cached(ShiftedWeight.from_highest_weight(mu).entries)
-    assert lhs == result.total_dimension(), "dimension identity violated"
+    if lhs != result.total_dimension():
+        raise InvariantError(f"LR dimension identity violated for "
+                             f"{lam} x {mu}")
     return result
 
 
@@ -438,7 +445,8 @@ def branch_one_step(l: ShiftedWeight) -> list[tuple[ShiftedWeight, Fraction]]:
             current.pop()
 
     rec(0, [])
-    assert sum(p for _, p in out) == 1
+    if sum(p for _, p in out) != 1:
+        raise InvariantError(f"branching of {l.entries} does not sum to one")
     return out
 
 
@@ -520,27 +528,149 @@ def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction
     for w, weight in _restriction_support(l.highest_weight(), m):
         total += weight
         out.append((w, Fraction(weight, dim_l)))
-    assert total == dim_l, "branching weights must sum to the dimension"
+    if total != dim_l:
+        raise InvariantError(f"branching weights of {l.entries} do not sum "
+                             f"to the dimension")
     return out
 
 
 def restriction_mean_moments(l: ShiftedWeight, m: int, orders: Sequence[int],
                              eps=1) -> list:
     """Exact expectations of the dilated naive-measure moments of a random
-    restricted component, streamed without materializing the distribution."""
+    restricted component, without enumerating the support of l.
+
+    E[p_k(u)], for u the shifted weight of a random U(m) component, is a
+    symmetric polynomial of degree <= k in the shifted weight l: one step of
+    branching sums Delta(v) g(v) over the box prod_i [l_{i+1}, l_i), an
+    alternant of Faulhaber polynomials divisible by Delta(l) (the finite-n
+    quantized compression of Bufetov-Gorin, arXiv:1311.5780).  The
+    polynomial is interpolated exactly from its enumerated values at small
+    sample weights, checked at one more sample, and evaluated at l.
+    """
     n = l.n
     if not 1 <= m < n:
         raise ValueError(f"target rank must satisfy 1 <= m < {n}")
     orders = tuple(orders)
+    degree = max(orders, default=0)
+    basis = _elementary_basis(n, degree)
+    r = len(basis)
+    # Integer rows [e_mu(s) | E p_k(s) | 0], scaled by dim(s), for the kept
+    # samples s, in forward-eliminated form: (pivot column, row).  Every row
+    # in their span is [a | b | 0] with a . C = b, C the coefficients.  A
+    # sample is kept when its e_mu row is independent of the kept ones.
+    pivots: list[tuple[int, list[int]]] = []
+    samples = _sample_weights(n, degree)
+    for s in samples:
+        row = _elementary_row(s, basis, degree)
+        col = next((j for j, x in enumerate(_eliminate(row, pivots)) if x),
+                   None)
+        if col is None:
+            continue
+        pivots.append((col, _eliminate(_sample_row(s, m, orders, row),
+                                       pivots)))
+        if len(pivots) == r:
+            break
+    else:
+        raise InvariantError(f"sample weights do not determine the U({n}) "
+                             f"-> U({m}) moment polynomials")
+    held = next(samples, None)
+    if held is None:
+        raise InvariantError(f"no held-out sample weight for U({n}) -> U({m})")
+    if any(_eliminate(_sample_row(held, m, orders,
+                                  _elementary_row(held, basis, degree)),
+                      pivots)):
+        raise InvariantError(
+            f"U({n}) -> U({m}) moment interpolant disagrees with the "
+            f"enumeration at the held-out weight {held}")
+    # [e_mu(l) | 0 | 1] eliminates to [0 | -t E p_k(l) | t] for some t != 0
+    at_l = _eliminate(_elementary_row(l.entries, basis, degree)
+                      + [0] * len(orders) + [1], pivots)
+    return [Fraction(-at_l[r + a], at_l[-1] * m) * eps ** k
+            for a, k in enumerate(orders)]
+
+
+def _sample_row(entries: tuple[int, ...], m: int, orders: tuple[int, ...],
+                basis_row: list[int]) -> list[int]:
+    """[dim * e_mu | dim * E p_k(u) | 0] at one sample weight, u the shifted
+    weight of a random U(m) component, by enumerating the restriction
+    support."""
+    l = ShiftedWeight(entries)
     sums = [0] * len(orders)
     total = 0
     for w, weight in _restriction_support(l.highest_weight(), m):
         total += weight
         for a, k in enumerate(orders):
             sums[a] += weight * w.power_sum(k)
-    assert total == weyl_dimension(l)
-    return [Fraction(sums[a], total * m) * eps ** k
-            for a, k in enumerate(orders)]
+    if total != weyl_dimension(l):
+        raise InvariantError(f"restriction weights of {entries} do not sum "
+                             f"to the dimension")
+    return [total * x for x in basis_row] + sums + [0]
+
+
+def _elementary_basis(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Partitions mu with |mu| <= degree and parts <= n.  The products e_mu
+    of elementary symmetric polynomials form a basis of the symmetric
+    polynomials of degree <= degree in n variables; power sums p_mu do not,
+    as they become linearly dependent once n < |mu|."""
+    def parts(rest, cap):
+        yield ()
+        for first in range(min(rest, cap), 0, -1):
+            for tail in parts(rest - first, first):
+                yield (first,) + tail
+    return list(parts(degree, n))
+
+
+def _elementary_row(entries: Sequence[int], basis, degree: int) -> list[int]:
+    """e_mu(entries) for each mu in the basis."""
+    e = [1] + [0] * degree
+    for x in entries:
+        for j in range(degree, 0, -1):
+            e[j] += x * e[j - 1]
+    return [prod(e[p] for p in mu) for mu in basis]
+
+
+def _eliminate(row: list[int], pivots) -> list[int]:
+    """Fraction-free: combine row with the pivot rows until it vanishes in
+    every pivot column; the result is a nonzero multiple of row minus pivot
+    rows, which are used only as far as row reaches."""
+    for col, prow in pivots:
+        f = row[col]
+        if f:
+            g = gcd(f, prow[col])
+            row = [prow[col] // g * a - f // g * b for a, b in zip(row, prow)]
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+    return row
+
+
+def _sample_weights(n: int, degree: int):
+    """Small shifted weights, cheapest to enumerate first: the entries
+    (n-1, ..., 1, 0) moved by an offset c, with neighbouring gaps 1 + g_i,
+    in order of size sum(g_i) + |c|.  The g_i range over 0..top with
+    top = max(2, degree // 2), so that one gap takes degree // 2 + 1 values,
+    as a polynomial of that degree in the square of a gap needs (n = 2)."""
+    top = max(2, degree // 2)
+
+    def excesses(slots, total):
+        if total > top * slots:
+            return
+        if slots == 0:
+            yield ()
+            return
+        for first in range(min(total, top) + 1):
+            for tail in excesses(slots - 1, total - first):
+                yield (first,) + tail
+
+    for size in range(top * (n - 1) + degree + 2):
+        for excess in range(min(size, top * (n - 1)) + 1):
+            c = size - excess
+            for gaps in excesses(n - 1, excess):
+                for offset in ((c, -c) if c else (0,)):
+                    entries = [offset]
+                    for g in reversed(gaps):
+                        entries.append(entries[-1] + 1 + g)
+                    yield tuple(reversed(entries))
 
 
 # -- exact statistics of the component distribution ---------------------------
@@ -568,7 +698,9 @@ def _component_moment_numerators(l: ShiftedWeight, orders, which):
         vals = []
         for k in orders:
             v = natural_moment_via_matrix(l, k) * l.n
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise InvariantError(f"natural moment numerator of "
+                                     f"{l.entries} is not an integer")
             vals.append(v.numerator)
         return vals
     raise ValueError("measure kind must be 'naive' or 'natural'")

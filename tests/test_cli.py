@@ -156,6 +156,51 @@ def test_config_file_roundtrip(tmp_path, capsys):
         (tmp_path / "o2" / "tensor.csv").read_bytes()
 
 
+def test_restrict_refuses_non_integral_corner(tmp_path, capsys):
+    # alpha * n = 4/3 at n = 4: no corner compresses by exactly alpha
+    args = ["--out", str(tmp_path), "restrict", "--schedule", "3,4",
+            "--alpha", "1/3", "--corner-sizes", "6", "--replicas", "16"]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "alpha = 1/3 at n = 4" in err
+    assert not (tmp_path / "restrict.csv").exists()
+    # corner-only sizes are checked too: 8/3 at n = 8
+    args = ["--out", str(tmp_path), "restrict", "--schedule", "3,6",
+            "--alpha", "1/3", "--corner-sizes", "8", "--replicas", "16"]
+    code = main(args)
+    assert code == 2
+    assert "n = 8" in capsys.readouterr().err
+
+
+def test_config_file_schema_errors(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for config, message in (({"schedule": 5}, "'schedule' must be a list"),
+                            ({"schedul": [2, 4]}, "unknown keys ['schedul']"),
+                            ({"replicas": 1.5}, "'replicas' must be an int"),
+                            ([2, 4], "expected a JSON object")):
+        path.write_text(json.dumps(config))
+        code = main(["--out", str(tmp_path), "--config", str(path),
+                     "tensor"])
+        err = capsys.readouterr().err
+        assert code == 2, config
+        assert message in err, err
+
+
+def test_config_seed_used_unless_flag_given(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schedule": [2], "replicas": 50,
+                                "max_order": 2, "seed": 4}))
+    outputs = []
+    for flags, out in (([], "a"), (["--seed", "4"], "b"),
+                       (["--seed", "5"], "c")):
+        assert main(flags + ["--out", str(tmp_path / out), "--config",
+                             str(path), "tensor"]) == 0
+        capsys.readouterr()
+        outputs.append((tmp_path / out / "tensor.csv").read_bytes())
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
 def test_histogram_bins_rule(tmp_path):
     path = tmp_path / "h.svg"
     write_histogram_svg(path, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])

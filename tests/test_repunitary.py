@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hofree.errors import GuardError
+from hofree import repunitary
+from hofree.errors import GuardError, InvariantError
+from hofree.experiments import RESTRICTION_AMPLITUDE, bulk_profile
 from hofree.repunitary import (
     AtomicMeasure,
     ShiftedWeight,
@@ -21,6 +23,7 @@ from hofree.repunitary import (
     natural_to_naive_moments,
     pieri_decompose,
     pushforward_stats,
+    restriction_mean_moments,
     sample_component,
     weyl_dimension,
     zelobenko_weights,
@@ -405,6 +408,76 @@ def test_branch_chain_range_validation():
         branch_chain(sw(2, 0), 2)
     with pytest.raises(ValueError):
         branch_chain(sw(2, 0), 0)
+
+
+def test_branch_chain_total_is_checked_without_assert(monkeypatch):
+    # a lost component must raise, also under python -O
+    support = repunitary._restriction_support
+    monkeypatch.setattr(repunitary, "_restriction_support",
+                        lambda lam, m: list(support(lam, m))[1:])
+    with pytest.raises(InvariantError):
+        branch_chain(ShiftedWeight.from_highest_weight((2, 1, 0)), 1)
+
+
+# -- restriction moments by interpolation ---------------------------------------
+
+def enumerated_restriction_means(l, m, orders):
+    # the support enumeration the interpolation replaces
+    total = 0
+    sums = [0] * len(orders)
+    for w, weight in repunitary._restriction_support(l.highest_weight(), m):
+        total += weight
+        for a, k in enumerate(orders):
+            sums[a] += weight * w.power_sum(k)
+    return [Fraction(s, total * m) for s in sums]
+
+
+def test_restriction_mean_moments_match_enumeration():
+    rng = random.Random(31)
+    for n in range(2, 7):
+        for m in range(1, n):
+            for _ in range(2):
+                # negative entries included; orders up to 4 exceed n at n < 4
+                lam = random_weight(rng, n, lo=-4, hi=4)
+                l = ShiftedWeight.from_highest_weight(lam)
+                orders = (1, 2, 3, 4)
+                assert restriction_mean_moments(l, m, orders) == \
+                    enumerated_restriction_means(l, m, orders), (lam, m)
+    for n, m in ((3, 2), (6, 3)):
+        l = ShiftedWeight.from_highest_weight(
+            bulk_profile(n, RESTRICTION_AMPLITUDE))
+        assert restriction_mean_moments(l, m, (1, 2, 3, 4)) == \
+            enumerated_restriction_means(l, m, (1, 2, 3, 4))
+
+
+def test_restriction_mean_moments_orders_and_dilation():
+    l = ShiftedWeight.from_highest_weight((5, 2, -1))
+    exact = enumerated_restriction_means(l, 2, (3, 1, 6))
+    eps = Fraction(1, 7)
+    assert restriction_mean_moments(l, 2, (3, 1, 6), eps) == \
+        [x * eps ** k for x, k in zip(exact, (3, 1, 6))]
+    assert restriction_mean_moments(l, 2, ()) == []
+    with pytest.raises(ValueError):
+        restriction_mean_moments(l, 3, (1,))
+
+
+def test_restriction_interpolant_held_out_check_raises(monkeypatch):
+    # the sample row after the r basis rows is the held-out one; corrupt it
+    sample_row = repunitary._sample_row
+    r = len(repunitary._elementary_basis(4, 3))
+    calls = []
+
+    def corrupted(entries, m, orders, basis_row):
+        row = sample_row(entries, m, orders, basis_row)
+        calls.append(entries)
+        if len(calls) == r + 1:
+            row[r] += 1
+        return row
+
+    monkeypatch.setattr(repunitary, "_sample_row", corrupted)
+    with pytest.raises(InvariantError, match="held-out"):
+        restriction_mean_moments(sw(9, 5, 2, 0), 2, (1, 2, 3))
+    assert len(calls) == r + 1
 
 
 # -- pushforward statistics ------------------------------------------------------
