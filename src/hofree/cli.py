@@ -305,21 +305,19 @@ def cmd_hof_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.replicas is None:
-        args.replicas = 1000
-    if args.seed is None:
-        args.seed = 1
+    config = _load_config(args, replicas=1000)
+    seed, replicas = config.seed, config.replicas
     spec = rmt.EnsembleSpec.fixed(args.spectrum, eps=args.eps)
-    table = rmt.trace_statistics(spec, args.powers, replicas=args.replicas,
-                                 seed=args.seed, threads=args.threads)
+    table = rmt.trace_statistics(spec, args.powers, replicas=replicas,
+                                 seed=seed, threads=args.threads)
     args.out.mkdir(parents=True, exist_ok=True)
     table.to_csv(args.out / "traces.csv")
     summary = {"n": spec.n, "eps": _rational_str(args.eps),
-               "seed": args.seed, "replicas": args.replicas, "cumulants": []}
+               "seed": seed, "replicas": replicas, "cumulants": []}
     for p in args.powers:
-        est_mean = table.estimate_cumulant((p,), boot_seed=args.seed)
-        est_var = table.estimate_cumulant((p, p), boot_seed=args.seed)
-        est_third = table.estimate_cumulant((p, p, p), boot_seed=args.seed)
+        est_mean = table.estimate_cumulant((p,), boot_seed=seed)
+        est_var = table.estimate_cumulant((p, p), boot_seed=seed)
+        est_third = table.estimate_cumulant((p, p, p), boot_seed=seed)
         summary["cumulants"].append({
             "p": p,
             "mean": float(est_mean.value.real), "mean_se": float(est_mean.stderr),
@@ -331,11 +329,11 @@ def cmd_simulate(args) -> int:
     _write_json(args.out / "summary.json", summary)
     if args.svg:
         eigs = []
-        for r in range(min(args.replicas, 64)):
-            x = rmt.sample_matrix(spec, rmt.replica_rng(args.seed, r))
+        for r in range(min(replicas, 64)):
+            x = rmt.sample_matrix(spec, rmt.replica_rng(seed, r))
             eigs.extend(rmt.eigenvalues(x).tolist())
         write_histogram_svg(args.out / "eigenvalues.svg", eigs)
-    print(f"wrote {args.out / 'traces.csv'} ({args.replicas} replicas)")
+    print(f"wrote {args.out / 'traces.csv'} ({replicas} replicas)")
     return 0
 
 

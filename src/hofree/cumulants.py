@@ -9,6 +9,7 @@ rational arithmetic; the floating (sample-based) path is kept separate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -81,30 +82,35 @@ class CumulantTable(_SubsetTable):
     """k_V: per-block joint cumulants, extended multiplicatively."""
 
 
+def _split_off_first(subset):
+    """(B, S minus B) for every proper subset B of S that contains min S."""
+    first, rest = subset[0], subset[1:]
+    for r in range(len(rest)):
+        for picks in itertools.combinations(rest, r):
+            yield (first,) + picks, tuple(e for e in rest if e not in picks)
+
+
 def moments_to_cumulants(m: MomentTable) -> CumulantTable:
-    """Invert sum_{W <= V} k_W = E_V by Mobius inversion on every subset."""
+    """Invert sum_{W <= V} k_W = E_V subset by subset: grouping the
+    partitions of S by the block B that holds min S gives
+    k(S) = E(S) - sum k(B) E(S minus B) over the proper such B."""
     values = {}
     for subset in _subsets_by_size(m.order):
-        total = 0
-        for p in set_partitions(len(subset)):
-            term = mobius(p, SetPartition.full(len(subset)))
-            for blk in p.blocks():
-                term = term * m.block_value(tuple(subset[i] for i in blk))
-            total = total + term
+        total = m.values[subset]
+        for block, others in _split_off_first(subset):
+            total = total - values[block] * m.values[others]
         values[subset] = total
     return CumulantTable(m.order, values)
 
 
 def cumulants_to_moments(c: CumulantTable) -> MomentTable:
-    """E_V = sum_{W <= V} k_W, evaluated per subset."""
+    """E_V = sum_{W <= V} k_W, per subset by the same recursion:
+    E(S) = k(S) + sum k(B) E(S minus B)."""
     values = {}
     for subset in _subsets_by_size(c.order):
-        total = 0
-        for p in set_partitions(len(subset)):
-            term = 1
-            for blk in p.blocks():
-                term = term * c.block_value(tuple(subset[i] for i in blk))
-            total = total + term
+        total = c.values[subset]
+        for block, others in _split_off_first(subset):
+            total = total + c.values[block] * values[others]
         values[subset] = total
     return MomentTable(c.order, values)
 
@@ -195,6 +201,12 @@ class CumulantEstimate:
     bootstrap_count: int
 
 
+def bootstrap_stderr(boots: np.ndarray) -> float:
+    """Standard error of a complex estimate from its bootstrap replicates:
+    the spreads of the real and imaginary parts add in quadrature."""
+    return float(np.sqrt(np.var(boots.real, ddof=1) + np.var(boots.imag, ddof=1)))
+
+
 def plugin_cumulant(samples: np.ndarray) -> complex:
     """Plug-in joint cumulant of the columns of a (replicas, k) array.
 
@@ -241,5 +253,5 @@ def estimate_cumulants(samples: np.ndarray, columns: Sequence[int],
     for b in range(n_boot):
         idx = rng.integers(0, reps, size=reps)
         boots[b] = plugin_cumulant(sub[idx])
-    stderr = float(np.sqrt(np.var(boots.real, ddof=1) + np.var(boots.imag, ddof=1)))
-    return CumulantEstimate(value=point, stderr=stderr, bootstrap_count=n_boot)
+    return CumulantEstimate(value=point, stderr=bootstrap_stderr(boots),
+                            bootstrap_count=n_boot)

@@ -23,6 +23,7 @@ from .partperm import (
     PartitionedPermutation,
     SetPartition,
     contiguous_cycles,
+    integer_partitions,
     leq_pp,
     partitioned_permutations,
 )
@@ -260,7 +261,7 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
     for k in range(1, inequality_order + 1):
         checked = 0
         holds = True
-        for ctype in _integer_partitions(k):
+        for ctype in integer_partitions(k):
             gamma = contiguous_cycles(*ctype)
             gamma_part = gamma.cycle_partition()
             full = SetPartition.full(k)
@@ -283,16 +284,5 @@ def trace_patterns(max_total: int) -> list[tuple[int, ...]]:
     """All multisets of positive integers with sum at most max_total."""
     out = []
     for total in range(1, max_total + 1):
-        out.extend(_integer_partitions(total))
+        out.extend(integer_partitions(total))
     return out
-
-
-def _integer_partitions(k: int):
-    def rec(rest, cap):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-    return list(rec(k, k))

@@ -3,97 +3,51 @@
 Moment sequences are plain sequences (m_1, ..., m_K) with m_0 = 1 implicit;
 free cumulant sequences are shaped likewise.  Everything is truncated at a
 declared order K, so no analytic R-transform machinery is needed: the
-transforms run over non-crossing partitions, free additive convolution adds
-free cumulants orderwise, and compression by a free projector of trace alpha
-rescales kappa_m by alpha^(m-1).
+transforms solve the moment-cumulant recursion order by order, free additive
+convolution adds free cumulants orderwise, and compression by a free
+projector of trace alpha rescales kappa_m by alpha^(m-1).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
-from .errors import GuardError
-from .partperm import SetPartition
 
-# Catalan growth is tame but enumeration is cached; keep the cap documented.
-NONCROSSING_LIMIT = 12
+def _power_coefficients(m: list, powers: list) -> list:
+    """[z^(n-s)] M(z)^s for s = 1..n, where M(z) = sum_i m[i] z^i.
 
-
-def _nc_blocks(elems: tuple[int, ...]):
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for r in range(len(rest) + 1):
-        for picks in _increasing_subsets(rest, r):
-            block = (first,) + picks
-            chosen = set(block)
-            others = [e for e in rest if e not in chosen]
-            # remaining elements split into independent gaps between
-            # consecutive block elements, plus the tail after the last one
-            segments = [tuple(e for e in others if lo < e < hi)
-                        for lo, hi in zip(block, block[1:])]
-            segments.append(tuple(e for e in others if e > block[-1]))
-            for sub in _product_of_nc(segments):
-                yield (block,) + sub
-
-
-def _increasing_subsets(elems, r):
-    if r == 0:
-        yield ()
-        return
-    for i, e in enumerate(elems):
-        for tail in _increasing_subsets(elems[i + 1:], r - 1):
-            yield (e,) + tail
-
-
-def _product_of_nc(segments):
-    if not segments:
-        yield ()
-        return
-    for head in _nc_blocks(segments[0]):
-        for tail in _product_of_nc(segments[1:]):
-            yield head + tail
-
-
-@lru_cache(maxsize=None)
-def noncrossing_partitions(k: int) -> tuple[SetPartition, ...]:
-    """All non-crossing partitions of {0..k-1} (Catalan(k) of them)."""
-    if k > NONCROSSING_LIMIT:
-        raise GuardError(
-            f"non-crossing enumeration is limited to k <= {NONCROSSING_LIMIT}")
-    return tuple(SetPartition.from_blocks(k, blocks)
-                 for blocks in _nc_blocks(tuple(range(k))))
+    m = [1, m_1, ..., m_(n-1)]: the coefficients read no moment of order n.
+    powers[s] holds the coefficients of M(z)^s found by the previous calls
+    (start with [[1]]); each call extends them by one degree, so a whole
+    transform to order K costs O(K^3) operations.
+    """
+    n = len(m)
+    powers[0].append(0)
+    for s in range(1, n):
+        prev, j = powers[s - 1], n - s
+        powers[s].append(sum(m[i] * prev[j - i] for i in range(j + 1)))
+    powers.append([1])
+    return [powers[s][n - s] for s in range(1, n + 1)]
 
 
 def free_cumulants_to_moments(kappa: Sequence) -> list:
-    """m_n = sum over non-crossing partitions of products of kappa_|block|."""
-    moments = []
-    for n in range(1, len(kappa) + 1):
-        total = 0
-        for p in noncrossing_partitions(n):
-            term = 1
-            for blk in p.blocks():
-                term = term * kappa[len(blk) - 1]
-            total = total + term
-        moments.append(total)
-    return moments
+    """m_n = sum_s kappa_s [z^(n-s)] M(z)^s (Nica-Speicher), order by order."""
+    m, powers = [1], [[1]]
+    for _ in kappa:
+        coeffs = _power_coefficients(m, powers)
+        m.append(sum(kappa[s] * c for s, c in enumerate(coeffs)))
+    return m[1:]
 
 
 def moments_to_free_cumulants(moments: Sequence) -> list:
-    """Inverse of free_cumulants_to_moments, solved order by order."""
-    kappa: list = []
+    """Inverse of free_cumulants_to_moments: the s = n term of the moment
+    recursion is kappa_n itself, so each order solves for one cumulant."""
+    m, powers, kappa = [1], [[1]], []
     for n in range(1, len(moments) + 1):
-        partial = 0
-        for p in noncrossing_partitions(n):
-            if p.num_blocks() == 1:
-                continue
-            term = 1
-            for blk in p.blocks():
-                term = term * kappa[len(blk) - 1]
-            partial = partial + term
-        kappa.append(moments[n - 1] - partial)
+        coeffs = _power_coefficients(m, powers)
+        kappa.append(moments[n - 1]
+                     - sum(kappa[s] * c for s, c in enumerate(coeffs[:-1])))
+        m.append(moments[n - 1])
     return kappa
 
 

@@ -4,8 +4,8 @@ Connects the microscopic data (cumulants of matrix entries along partitioned
 permutations, exact via the Weingarten oracle or estimated by Monte Carlo)
 with the macroscopic data (classical cumulants of power-sum traces): the
 exact finite-n assembly identity, the scaling exponents controlling which
-terms survive the large-n limit, limit extraction along ensemble schedules,
-and the reduced commutator-decay diagnostics for representation ensembles.
+terms survive the large-n limit, and limit extraction along ensemble
+schedules.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from . import rmt
-from .cumulants import MomentTable, moments_to_cumulants, plugin_cumulant
+from .cumulants import (
+    CumulantEstimate,
+    MomentTable,
+    bootstrap_stderr,
+    moments_to_cumulants,
+    plugin_cumulant,
+)
 from .errors import GuardError
 from .partperm import (
     PartitionedPermutation,
@@ -27,8 +33,6 @@ from .partperm import (
     contiguous_cycles,
     leq_pp,
     partitioned_permutations,
-    set_partitions,
-    mobius,
 )
 
 KAPPA_MAX_ORDER = 4
@@ -37,23 +41,10 @@ KAPPA_MAX_ORDER = 4
 def entry_cumulant(spec: rmt.EnsembleSpec, pairs: Sequence[tuple[int, int]]):
     """Joint classical cumulant of the designated entries, exact through the
     Weingarten oracle."""
-    b = len(pairs)
-    cache = {}
-
-    def moment(subset):
-        key = tuple(subset)
-        if key not in cache:
-            cache[key] = rmt.exact_entry_moment(
-                spec, [pairs[i] for i in subset])
-        return cache[key]
-
-    total = 0
-    for w in set_partitions(b):
-        term = mobius(w, SetPartition.full(b))
-        for blk in w.blocks():
-            term = term * moment(blk)
-        total = total + term
-    return total
+    table = MomentTable.from_function(
+        len(pairs),
+        lambda subset: rmt.exact_entry_moment(spec, [pairs[i] for i in subset]))
+    return moments_to_cumulants(table).top()
 
 
 def entry_cumulant_for_partition(spec: rmt.EnsembleSpec, v: SetPartition,
@@ -114,6 +105,8 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
     with bootstrap standard errors resampled jointly across targets."""
     if replicas < 1000:
         raise ValueError("kappa estimation needs at least 1000 replicas")
+    if not targets:
+        raise ValueError("kappa estimation needs at least one target")
     k = targets[0].size
     if any(t.size != k for t in targets):
         raise ValueError("all targets must share one order")
@@ -144,14 +137,10 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
         resampled = table_from(data[idx])
         for vp in targets:
             boots[vp][b] = resampled[vp]
-    out = {}
-    from .cumulants import CumulantEstimate
-    for vp in targets:
-        se = float(np.sqrt(np.var(boots[vp].real, ddof=1)
-                           + np.var(boots[vp].imag, ddof=1)))
-        out[vp] = CumulantEstimate(value=point[vp], stderr=se,
-                                   bootstrap_count=n_boot)
-    return out
+    return {vp: CumulantEstimate(value=point[vp],
+                                 stderr=bootstrap_stderr(boots[vp]),
+                                 bootstrap_count=n_boot)
+            for vp in targets}
 
 
 def macro_from_micro(table: KappaTable, powers: Sequence[int]):
@@ -342,69 +331,3 @@ def limit_scan(schedule: Sequence[rmt.EnsembleSpec],
             "within_tolerance": bool(gap <= tolerance),
         })
     return record
-
-
-# -- commutator decay for representation ensembles ------------------------------
-
-#: order-2 entry patterns whose commutator cumulant reduces to first-order
-#: weight data: tr rho(e_ab) = [a == b] * |lambda| / n
-SUPPORTED_COMMUTATOR_CASES = {
-    "diagonal-pair": ((0, 0), (1, 1)),      # [X_00, X_11]
-    "transpose-pair": ((0, 1), (1, 0)),     # [X_01, X_10]
-}
-
-
-@dataclass
-class CommutatorDecayReport:
-    cases: dict
-    eps_exponent: float
-    boundary_flag: str | None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "cases": self.cases,
-            "eps_exponent": self.eps_exponent,
-            "boundary_flag": self.boundary_flag,
-        }, indent=2)
-
-
-def _bracket_trace(pair_a, pair_b, weight_total: int, n: int) -> Fraction:
-    # [e_ij, e_kl] = [j==k] e_il - [l==i] e_kj, traced against
-    # tr rho(e_ab) = [a==b] |lambda| / n
-    (i, j), (k, l) = pair_a, pair_b
-    lead = Fraction(weight_total, n)
-    return (int(j == k) * int(i == l) - int(l == i) * int(k == j)) * lead
-
-
-def commutator_decay_check(schedule: Sequence[tuple], order: int = 2,
-                           eps_exponent: float = 1.5) -> CommutatorDecayReport:
-    """Decay of commutator cumulants along a representation schedule, for the
-    order-2 cases where the Lie bracket contraction reduces to scalar weight
-    data.  `schedule` lists (n, total highest weight, eps).
-
-    Orders above 2 need microscopic representation moments that are outside
-    this library's scope; they are refused with the supported list.
-    """
-    if order != 2:
-        raise GuardError(
-            "commutator decay is implemented for order 2 only; supported "
-            f"cases: {sorted(SUPPORTED_COMMUTATOR_CASES)}")
-    if len(schedule) < 2:
-        raise ValueError("schedule needs at least two sizes")
-    cases = {}
-    for name, (pa, pb) in SUPPORTED_COMMUTATOR_CASES.items():
-        rows = []
-        for n, weight_total, eps in schedule:
-            raw = float(eps) ** 2 * float(_bracket_trace(pa, pb, weight_total, n))
-            # (V, pi) = (full, pi) with pi read off the pattern
-            pi_images = (pb[1] == pa[0]) and (pa[1] == pb[0])
-            length = 1 if pi_images else 2
-            rows.append({"n": n, "value": raw,
-                         "scaled": raw * n ** length})
-        cases[name] = rows
-    flag = None
-    if eps_exponent <= 1:
-        flag = (f"eps_n = n^-{eps_exponent} does not satisfy eps_n * n -> 0; "
-                "the decay hypothesis needs eps_n = o(1/n)")
-    return CommutatorDecayReport(cases=cases, eps_exponent=eps_exponent,
-                                 boundary_flag=flag)

@@ -12,8 +12,8 @@ All values are immutable and hashable, all operations are pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import GuardError
@@ -221,21 +221,9 @@ def set_partitions(k: int) -> Iterator[SetPartition]:
     yield from rec([0], [0])
 
 
-@lru_cache(maxsize=None)
 def _mobius_whole(m: int) -> int:
-    # mu(0_m, 1_m), by the defining recursion: the values over any interval
-    # sum to zero.  Agrees with the closed form (-1)^(m-1) (m-1)!.
-    if m == 1:
-        return 1
-    total = 0
-    for c in set_partitions(m):
-        if c.num_blocks() == 1:
-            continue
-        prod = 1
-        for blk in c.blocks():
-            prod *= _mobius_whole(len(blk))
-        total += prod
-    return -total
+    # mu(0_m, 1_m) = (-1)^(m-1) (m-1)!
+    return (-1) ** (m - 1) * math.factorial(m - 1)
 
 
 def mobius(a: SetPartition, b: SetPartition) -> int:
@@ -379,6 +367,23 @@ def conjugacy_key(a: PartitionedPermutation):
         if best is None or key < best:
             best = key
     return best
+
+
+def integer_partitions(k: int) -> list[tuple[int, ...]]:
+    """Partitions of k as non-increasing tuples, in reverse lexicographic
+    order: the cycle types of S_k.
+
+    >>> integer_partitions(3)
+    [(3,), (2, 1), (1, 1, 1)]
+    """
+    def rec(rest, cap):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, cap), 0, -1):
+            for tail in rec(rest - first, first):
+                yield (first,) + tail
+    return list(rec(k, k))
 
 
 def contiguous_cycles(*lengths: int) -> Permutation:

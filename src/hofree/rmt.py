@@ -26,6 +26,7 @@ import numpy as np
 
 from . import cumulants
 from .errors import GuardError
+from .partperm import Permutation, contiguous_cycles, integer_partitions
 
 WEINGARTEN_MAX_ORDER = 5
 EIGENVALUE_RESIDUAL_TOL = 1e-10
@@ -74,6 +75,8 @@ class EnsembleSpec:
     @classmethod
     def mixture(cls, pairs, eps=1) -> "EnsembleSpec":
         atoms = tuple((tuple(eigs), Fraction(p)) for eigs, p in pairs)
+        if not atoms:
+            raise ValueError("spectrum mixture is empty")
         return cls(n=len(atoms[0][0]), atoms=atoms, eps=eps)
 
     @classmethod
@@ -236,54 +239,6 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
 
 # -- Weingarten oracle ---------------------------------------------------------
 
-def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(images)
-    seen = [False] * k
-    lens = []
-    for i in range(k):
-        if seen[i]:
-            continue
-        c = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            c += 1
-        lens.append(c)
-    return tuple(sorted(lens, reverse=True))
-
-
-def _inverse(images):
-    out = [0] * len(images)
-    for i, j in enumerate(images):
-        out[j] = i
-    return tuple(out)
-
-
-def _compose(a, b):
-    return tuple(a[j] for j in b)
-
-
-def _partitions_of(k: int):
-    def rec(rest, cap):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-    return list(rec(k, k))
-
-
-def _representative(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
-    images = []
-    start = 0
-    for c in cycle_type:
-        images.extend(list(range(start + 1, start + c)) + [start])
-        start += c
-    return tuple(images)
-
-
 @dataclass(frozen=True)
 class WeingartenTable:
     """Wg(sigma, n) per conjugacy class of S_k: the inverse of the Gram form
@@ -297,7 +252,7 @@ class WeingartenTable:
         return self.values[tuple(cycle_type)]
 
     def of_permutation(self, images: tuple[int, ...]) -> Fraction:
-        return self.values[_cycle_type(images)]
+        return self.values[Permutation(tuple(images)).cycle_type()]
 
 
 def _solve_rational(a, b):
@@ -317,6 +272,17 @@ def _solve_rational(a, b):
 
 
 @lru_cache(maxsize=None)
+def _symmetric_group(k: int):
+    """S_k in itertools order: the permutations, their cycle types, and the
+    index table quotient[a][b] of perms[a] * perms[b]^-1."""
+    perms = tuple(Permutation(p) for p in itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    inverses = [p.inverse() for p in perms]
+    quotient = tuple(tuple(index[a * b] for b in inverses) for a in perms)
+    return perms, tuple(p.cycle_type() for p in perms), quotient
+
+
+@lru_cache(maxsize=None)
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Exact Weingarten function by a linear solve on class functions.
 
@@ -329,15 +295,14 @@ def weingarten_table(k: int, n: int) -> WeingartenTable:
     if n < k:
         raise GuardError(
             f"Gram form is singular for n < k (n = {n}, k = {k}); refusing")
-    classes = _partitions_of(k)
+    classes = integer_partitions(k)
     index = {c: i for i, c in enumerate(classes)}
-    perms = list(itertools.permutations(range(k)))
+    perms, types, quotient = _symmetric_group(k)
     a = [[Fraction(0)] * len(classes) for _ in classes]
     for ci, ctype in enumerate(classes):
-        sigma = _representative(ctype)
-        for tau in perms:
-            ct = _cycle_type(_compose(sigma, _inverse(tau)))
-            a[ci][index[ct]] += Fraction(n) ** len(_cycle_type(tau))
+        row = quotient[perms.index(contiguous_cycles(*ctype))]
+        for t, ttype in enumerate(types):
+            a[ci][index[types[row[t]]]] += Fraction(n) ** len(ttype)
     rhs = [Fraction(1) if ctype == (1,) * k else Fraction(0)
            for ctype in classes]
     sol = _solve_rational(a, rhs)
@@ -361,17 +326,17 @@ def exact_entry_moment(spec: EnsembleSpec, pairs: Sequence[tuple[int, int]]):
     cols = [j for _, j in pairs]
     if any(not 0 <= v < n for v in rows + cols):
         raise ValueError("entry indices out of range")
-    perms = list(itertools.permutations(range(k)))
-    matches = [s for s in perms
-               if all(rows[m] == cols[s[m]] for m in range(k))]
+    perms, types, quotient = _symmetric_group(k)
+    matches = [a for a, s in enumerate(perms)
+               if all(rows[m] == cols[s.images[m]] for m in range(k))]
     if not matches:
         return Fraction(0)
+    wg_of = [wg.values[t] for t in types]
     tau_weight = {}
-    for tau in perms:
-        inv_tau = _inverse(tau)
+    for tau in range(len(perms)):
         w = Fraction(0)
         for sigma in matches:
-            w += wg.of_permutation(_compose(sigma, inv_tau))
+            w += wg_of[quotient[sigma][tau]]
         if w:
             tau_weight[tau] = w
     total = 0
@@ -380,7 +345,7 @@ def exact_entry_moment(spec: EnsembleSpec, pairs: Sequence[tuple[int, int]]):
         atom_total = 0
         for tau, w in tau_weight.items():
             term = w
-            for c in _cycle_type(tau):
+            for c in types[tau]:
                 if c not in psums:
                     psums[c] = spec.atom_power_sum(atom_index, c)
                 term = term * psums[c]

@@ -50,6 +50,16 @@ def test_freeconv_convolution_and_compression(capsys):
     assert payload["compression_moments"][:4] == ["0/1", "1/2", "0/1", "1/2"]
 
 
+def test_freeconv_has_no_order_cap(capsys):
+    # semicircle moments to order 14: the free cumulants are (0, 1, 0, ...)
+    catalan = [1, 2, 5, 14, 42, 132, 429]
+    moments = ",".join(f"0,{c}" for c in catalan)
+    code, out, _ = run_cli(capsys, "freeconv", "--a", moments)
+    assert code == 0
+    kappa = json.loads(out)["a_free_cumulants"]
+    assert kappa == ["0/1", "1/1"] + ["0/1"] * 12
+
+
 def test_hof_check_passes_and_guards(capsys):
     code, out, _ = run_cli(capsys, "hof-check", "--n", "3", "--max-order", "3",
                            "--inequality-order", "4")
@@ -199,6 +209,26 @@ def test_config_seed_used_unless_flag_given(tmp_path, capsys):
         capsys.readouterr()
         outputs.append((tmp_path / out / "tensor.csv").read_bytes())
     assert outputs[0] == outputs[1] != outputs[2]
+
+
+def test_simulate_reads_seed_and_replicas_from_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 5, "replicas": 10}))
+    simulate = ["simulate", "--spectrum", "1,0,-1"]
+    runs = {
+        "config": ["--config", str(path)] + simulate,
+        "flags": ["--seed", "5"] + simulate + ["--replicas", "10"],
+        "override": ["--seed", "6", "--config", str(path)] + simulate,
+    }
+    for out, argv in runs.items():
+        assert main(["--out", str(tmp_path / out)] + argv) == 0
+        capsys.readouterr()
+    for out, seed in (("config", 5), ("override", 6)):
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        assert (summary["seed"], summary["replicas"]) == (seed, 10)
+    traces = {out: (tmp_path / out / "traces.csv").read_bytes()
+              for out in runs}
+    assert traces["config"] == traces["flags"] != traces["override"]
 
 
 def test_histogram_bins_rule(tmp_path):

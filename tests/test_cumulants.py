@@ -15,7 +15,7 @@ from hofree.cumulants import (
     merge_adjacent,
     moments_to_cumulants,
 )
-from hofree.partperm import SetPartition, set_partitions
+from hofree.partperm import SetPartition, mobius, set_partitions
 
 
 class Discrete:
@@ -79,6 +79,23 @@ def test_roundtrip_exact_on_random_rational_tables():
         assert cumulants_to_moments(moments_to_cumulants(m)).values == m.values
         c = CumulantTable(k, values)
         assert moments_to_cumulants(cumulants_to_moments(c)).values == c.values
+
+
+def test_moments_to_cumulants_matches_mobius_sum():
+    # definition: k(S) = sum over partitions p of S of mu(p, 1_S) E_p
+    rng = random.Random(19)
+    for k in range(1, 6):
+        m = MomentTable.from_function(
+            k, lambda s: Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        got = moments_to_cumulants(m)
+        for subset in m.values:
+            expected = 0
+            for p in set_partitions(len(subset)):
+                term = mobius(p, SetPartition.full(len(subset)))
+                for blk in p.blocks():
+                    term = term * m.block_value([subset[i] for i in blk])
+                expected = expected + term
+            assert got.block_value(subset) == expected
 
 
 def test_gaussian_fourth_moment():

@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from hofree.errors import GuardError
 from hofree.freeprob import (
     atomic_moments,
     free_compress,
     free_convolve,
     free_cumulants_to_moments,
     moments_to_free_cumulants,
-    noncrossing_partitions,
     semicircle_moments,
 )
+from hofree.partperm import set_partitions
 
 
 def catalan(k):
@@ -33,24 +32,46 @@ def is_noncrossing_bruteforce(p):
     return True
 
 
-def test_noncrossing_enumeration_matches_brute_force():
-    from hofree.partperm import set_partitions
-    for k in range(0, 8):
-        got = set(noncrossing_partitions(k))
-        expected = {p for p in set_partitions(k) if is_noncrossing_bruteforce(p)}
-        assert got == expected
-        assert len(got) == catalan(k)
+def moments_over_noncrossing_partitions(kappa):
+    # oracle: m_n = sum over non-crossing partitions of {0..n-1} of the
+    # product of kappa_|block|, the partitions filtered by brute force
+    moments = []
+    for n in range(1, len(kappa) + 1):
+        total = 0
+        for p in set_partitions(n):
+            if is_noncrossing_bruteforce(p):
+                term = 1
+                for blk in p.blocks():
+                    term = term * kappa[len(blk) - 1]
+                total = total + term
+        moments.append(total)
+    return moments
 
 
-def test_noncrossing_guard():
-    with pytest.raises(GuardError):
-        noncrossing_partitions(13)
+def test_transforms_match_noncrossing_partition_sums():
+    # the oracle counts Catalan(n) non-crossing partitions
+    assert moments_over_noncrossing_partitions([1] * 8) == \
+        [catalan(n) for n in range(1, 9)]
+    rng = random.Random(41)
+    for order in range(1, 9):
+        kappa = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for _ in range(order)]
+        expected = moments_over_noncrossing_partitions(kappa)
+        assert free_cumulants_to_moments(kappa) == expected
+        assert moments_to_free_cumulants(expected) == kappa
 
 
 def test_semicircle_catalan_moments():
     moments = semicircle_moments(Fraction(1), 10)
     assert moments == [0, 1, 0, 2, 0, 5, 0, 14, 0, 42]
     assert moments[1::2] == [catalan(k) for k in range(1, 6)]
+
+
+def test_semicircle_moments_are_catalan_to_order_30():
+    moments = semicircle_moments(Fraction(1), 30)
+    assert moments[0::2] == [0] * 15
+    assert moments[1::2] == [catalan(k) for k in range(1, 16)]
+    assert moments_to_free_cumulants(moments) == [0, 1] + [0] * 28
 
 
 def test_point_mass_cumulants():

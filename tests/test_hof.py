@@ -5,8 +5,6 @@ import pytest
 
 from hofree.errors import GuardError
 from hofree.hof import (
-    CommutatorDecayReport,
-    commutator_decay_check,
     entry_cumulant,
     entry_cumulant_for_partition,
     kappa_exact,
@@ -180,6 +178,11 @@ def test_kappa_mc_replica_guard():
         kappa_mc(FIXED, [pp([(0,)], [], 1)], replicas=10, seed=0)
 
 
+def test_kappa_mc_refuses_empty_targets():
+    with pytest.raises(ValueError, match="at least one target"):
+        kappa_mc(FIXED, [], replicas=1000, seed=0)
+
+
 def test_limit_scan_first_order_trend():
     # spectrum l_i = i (1-based) with eps = 1/n: kappa_(1,e) = (n+1)/(2n),
     # whose scaled trend extrapolates to exactly 1/2
@@ -220,24 +223,3 @@ def test_limit_scan_schedule_validation():
     specs = [EnsembleSpec.fixed((2, 1, 0)), EnsembleSpec.fixed((2, 1, 0, -1))]
     with pytest.raises(ValueError):
         limit_scan(specs)
-
-
-def test_commutator_decay_cases_are_exact_zero():
-    schedule = [(n, n * 2, n ** -1.5) for n in (4, 8, 16)]
-    report = commutator_decay_check(schedule, order=2, eps_exponent=1.5)
-    assert isinstance(report, CommutatorDecayReport)
-    for rows in report.cases.values():
-        for row in rows:
-            assert row["value"] == 0.0
-            assert row["scaled"] == 0.0
-    assert report.boundary_flag is None
-
-
-def test_commutator_decay_boundary_flag_and_guard():
-    schedule = [(n, 0, 1.0 / n) for n in (4, 8)]
-    report = commutator_decay_check(schedule, order=2, eps_exponent=1.0)
-    assert report.boundary_flag is not None
-    for rows in report.cases.values():
-        assert all(row["value"] == 0.0 for row in rows)
-    with pytest.raises(GuardError):
-        commutator_decay_check(schedule, order=3)

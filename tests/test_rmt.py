@@ -46,6 +46,8 @@ def test_ensemble_spec_validation():
                               ((0, -1), Fraction(1, 3))])
     with pytest.raises(ValueError):
         EnsembleSpec(n=3, atoms=(((1, 0), Fraction(1)),))
+    with pytest.raises(ValueError, match="empty"):
+        EnsembleSpec.mixture([])
     spec = EnsembleSpec.fixed((3, 1, 0), eps=Fraction(1, 2))
     assert spec.n == 3
     assert spec.atom_power_sum(0, 2) == 10
