@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file; command-line flags override it")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for replica generation")
+                        help="worker threads for replica generation, from 1 "
+                             "to the CPU count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectral", help="exact spectral data of one irreducible")
@@ -309,7 +310,7 @@ def cmd_simulate(args) -> int:
     seed, replicas = config.seed, config.replicas
     spec = rmt.EnsembleSpec.fixed(args.spectrum, eps=args.eps)
     table = rmt.trace_statistics(spec, args.powers, replicas=replicas,
-                                 seed=seed, threads=args.threads)
+                                 seed=seed, threads=config.threads)
     args.out.mkdir(parents=True, exist_ok=True)
     table.to_csv(args.out / "traces.csv")
     summary = {"n": spec.n, "eps": _rational_str(args.eps),
@@ -328,11 +329,10 @@ def cmd_simulate(args) -> int:
         })
     _write_json(args.out / "summary.json", summary)
     if args.svg:
-        eigs = []
-        for r in range(min(replicas, 64)):
-            x = rmt.sample_matrix(spec, rmt.replica_rng(seed, r))
-            eigs.extend(rmt.eigenvalues(x).tolist())
-        write_histogram_svg(args.out / "eigenvalues.svg", eigs)
+        eigs = rmt.map_replicas(
+            lambda rng: rmt.eigenvalues(rmt.sample_matrix(spec, rng)),
+            min(replicas, 64), seed, config.threads)
+        write_histogram_svg(args.out / "eigenvalues.svg", eigs.ravel())
     print(f"wrote {args.out / 'traces.csv'} ({replicas} replicas)")
     return 0
 

@@ -11,6 +11,7 @@ default schedule while the enumerations stay desk-sized.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -80,6 +81,10 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
+        cores = os.cpu_count() or 1
+        if not 1 <= self.threads <= cores:
+            raise ValueError(f"threads must lie in [1, {cores}] (the CPU "
+                             f"count); got {self.threads}")
 
     def eps(self, n: int) -> float:
         return float(n) ** -self.eps_exponent
@@ -110,8 +115,7 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
                                      threads=config.threads)
         for i, k in enumerate(orders):
             scale = eps ** k
-            mc = table.column(k)
-            mc_se = float(mc.std(ddof=1) / np.sqrt(len(mc)))
+            mc_mean, mc_se = _mean_se(table, k)
             free_target = Fraction(target[i])
             rows.append({
                 "n": n,
@@ -122,7 +126,7 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
                 "rep_mean": float(stats.mean[i]) * scale,
                 "rep_var": float(stats.cov[i][i]) * scale ** 2,
                 "free_target": float(free_target) * scale,
-                "mc_mean": float(mc.mean()),
+                "mc_mean": mc_mean,
                 "mc_se": mc_se,
                 "rel_gap": abs(float(stats.mean[i] - free_target))
                 / abs(float(free_target)),
@@ -141,62 +145,55 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
     alpha = Fraction(config.alpha)
     corner = {n: _corner_rank(alpha, n)
               for n in (*config.schedule, *config.corner_sizes)}
-    for n in config.schedule:
+
+    # the schedule gets exact branch means; the other corner sizes are pure
+    # matrix-limit checks, with Monte Carlo only
+    extra = [n for n in config.corner_sizes if n not in config.schedule]
+    for n in (*config.schedule, *extra):
         m = corner[n]
-        lam = bulk_profile(n, config.amplitude)
-        l = ShiftedWeight.from_highest_weight(lam)
+        l = ShiftedWeight.from_highest_weight(bulk_profile(n, config.amplitude))
         eps = config.eps(n)
-        if m == n:
-            branch = naive_moments_of_weight(l, config.max_order)
-        else:
-            branch = restriction_mean_moments(l, m, orders)
         target = free_compress(naive_moments_of_weight(l, config.max_order),
                                alpha, config.max_order)
-        corner_stats = corner_monte_carlo(l.entries, eps, m, orders,
-                                          config.replicas, config.seed)
-        for i, k in enumerate(orders):
-            scale = eps ** k
-            rows.append({
-                "n": n,
-                "m": m,
-                "k": k,
-                "branch_mean": float(branch[i]) * scale,
-                "compress_target": float(target[i]) * scale,
-                "corner_mc_mean": corner_stats[0][i],
-                "corner_mc_se": corner_stats[1][i],
-                "rel_gap": abs(float(branch[i] - target[i]))
-                / abs(float(target[i])),
-                "note": "",
-                "branch_mean_exact": branch[i],
-                "compress_target_exact": Fraction(target[i]),
-            })
-    # pure matrix-limit checks: corner Monte Carlo at sizes where the exact
-    # branching enumeration is out of scale
-    for n in config.corner_sizes:
+        branch = None
         if n in config.schedule:
-            continue
-        m = corner[n]
-        lam = bulk_profile(n, config.amplitude)
-        l = ShiftedWeight.from_highest_weight(lam)
-        eps = config.eps(n)
-        target = free_compress(naive_moments_of_weight(l, config.max_order),
-                               alpha, config.max_order)
-        corner_stats = corner_monte_carlo(l.entries, eps, m, orders,
-                                          min(config.replicas, 500), config.seed)
+            branch = (naive_moments_of_weight(l, config.max_order) if m == n
+                      else restriction_mean_moments(l, m, orders))
+        replicas = (config.replicas if branch is not None
+                    else min(config.replicas, 500))
+        spec = rmt.EnsembleSpec.fixed(l.entries, eps=eps)
+        table = rmt.trace_statistics(spec, orders, replicas, config.seed,
+                                     threads=config.threads, m=m)
         for i, k in enumerate(orders):
             scale = eps ** k
-            rows.append({
+            mc_mean, mc_se = _mean_se(table, k)
+            row = {
                 "n": n, "m": m, "k": k,
                 "branch_mean": "",
                 "compress_target": float(target[i]) * scale,
-                "corner_mc_mean": corner_stats[0][i],
-                "corner_mc_se": corner_stats[1][i],
+                "corner_mc_mean": mc_mean,
+                "corner_mc_se": mc_se,
                 "rel_gap": "",
                 "note": "branch skipped: exact enumeration beyond desk scale",
                 "branch_mean_exact": None,
                 "compress_target_exact": Fraction(target[i]),
-            })
+            }
+            if branch is not None:
+                row.update({
+                    "branch_mean": float(branch[i]) * scale,
+                    "rel_gap": abs(float(branch[i] - target[i]))
+                    / abs(float(target[i])),
+                    "note": "",
+                    "branch_mean_exact": branch[i],
+                })
+            rows.append(row)
     return rows
+
+
+def _mean_se(table: rmt.TraceTable, p: int) -> tuple[float, float]:
+    """Monte-Carlo mean of tr X^p and its standard error."""
+    col = table.column(p)
+    return float(col.mean()), float(col.std(ddof=1) / np.sqrt(len(col)))
 
 
 def _corner_rank(alpha: Fraction, n: int) -> int:
@@ -208,23 +205,6 @@ def _corner_rank(alpha: Fraction, n: int) -> int:
         raise ValueError(f"alpha * n must be an integer in [1, n]; "
                          f"got alpha = {alpha} at n = {n}")
     return int(m)
-
-
-def corner_monte_carlo(entries: Sequence, eps: float, m: int,
-                       orders: Sequence[int], replicas: int,
-                       seed: int) -> tuple[list, list]:
-    """Monte-Carlo moments of the m-by-m corner spectral measure."""
-    spec = rmt.EnsembleSpec.fixed(entries, eps=eps)
-    values = np.empty((replicas, len(orders)))
-    for r in range(replicas):
-        rng = rmt.replica_rng(seed, r)
-        x = rmt.corner(rmt.sample_matrix(spec, rng), m)
-        eigs = rmt.eigenvalues(x)
-        values[r] = [np.mean(eigs ** k) for k in orders]
-    means = [float(values[:, i].mean()) for i in range(len(orders))]
-    ses = [float(values[:, i].std(ddof=1) / np.sqrt(replicas))
-           for i in range(len(orders))]
-    return means, ses
 
 
 def hof_check(ns: Sequence[int], max_order: int = 4,

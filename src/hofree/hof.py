@@ -113,11 +113,10 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
     pairs_needed = sorted({(m, vp.permutation(m))
                            for vp in targets for m in range(k)})
     col = {p: i for i, p in enumerate(pairs_needed)}
-    data = np.empty((replicas, len(pairs_needed)), dtype=complex)
-    for r in range(replicas):
-        x = rmt.sample_matrix(spec, rmt.replica_rng(seed, r)).matrix
-        for p, i in col.items():
-            data[r, i] = x[p]
+    rows_at, cols_at = zip(*pairs_needed)
+    data = rmt.map_replicas(
+        lambda rng: rmt.sample_matrix(spec, rng)[rows_at, cols_at],
+        replicas, seed)
 
     def table_from(rows: np.ndarray) -> dict:
         out = {}

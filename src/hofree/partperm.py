@@ -314,12 +314,14 @@ def product_pp(a: PartitionedPermutation,
 
 
 def leq_pp(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
-    """True iff a * (0, pia^-1 pib) = b.  Not transitive in general."""
+    """True iff a * (0, sigma) = b for sigma = pia^-1 pib.  Not transitive in
+    general.  That product is (Va v C(sigma), pib), always a valid pair, so
+    it is b iff Va v C(sigma) = Vb and the lengths add up."""
     if a.size != b.size:
         raise ValueError("ground-set mismatch")
-    step = PartitionedPermutation.minimal(a.permutation.inverse() * b.permutation)
-    prod = product_pp(a, step)
-    return prod == b
+    sigma = a.permutation.inverse() * b.permutation
+    return (a.length() + sigma.length() == b.length()
+            and a.partition.join(sigma.cycle_partition()) == b.partition)
 
 
 def conjugate_pp(a: PartitionedPermutation, s: Permutation) -> PartitionedPermutation:

@@ -38,12 +38,16 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(n: int, rng: np.random.Generator,
+                 m: int | None = None) -> np.ndarray:
     """Exactly Haar-distributed unitary: QR of a complex Ginibre matrix with
-    the diagonal of R normalized to positive reals."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    the diagonal of R normalized to positive reals.  With m < n, only its
+    first m columns, an n-by-m isometry, from the thin QR of an n-by-m
+    Ginibre matrix."""
+    m = n if m is None else m
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n; got n = {n} and m = {m}")
+    z = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -94,19 +98,6 @@ class EnsembleSpec:
         return sum(x ** k for x in eigs)
 
 
-@dataclass(frozen=True)
-class HermitianSample:
-    """One draw, with the provenance needed to regenerate it."""
-
-    matrix: np.ndarray
-    seed: int | None = None
-    replica: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _draw_atom(spec: EnsembleSpec, rng) -> np.ndarray:
     u = rng.random()
     acc = 0.0
@@ -117,37 +108,33 @@ def _draw_atom(spec: EnsembleSpec, rng) -> np.ndarray:
     return np.asarray(spec.atoms[-1][0], dtype=float)
 
 
-def sample_matrix(spec: EnsembleSpec, rng, seed=None, replica=None) -> HermitianSample:
-    """Draw a spectrum atom, conjugate by a fresh Haar unitary, rescale."""
+def sample_matrix(spec: EnsembleSpec, rng, m: int | None = None) -> np.ndarray:
+    """Leading m-by-m block (default: all) of X = eps * U diag(l) U*, for a
+    drawn spectrum atom l and a fresh Haar unitary U.  A corner m < n is
+    W* diag(eps * l) W for an n-by-m Haar isometry W, which has the same law
+    and costs no n-by-n QR."""
+    m = spec.n if m is None else m
     eigs = float(spec.eps) * _draw_atom(spec, rng)
-    u = haar_unitary(spec.n, rng)
-    x = (u * eigs) @ u.conj().T
-    x = (x + x.conj().T) / 2          # remove floating-point drift
-    return HermitianSample(matrix=x, seed=seed, replica=replica)
+    u = haar_unitary(spec.n, rng, m)
+    if m == spec.n:
+        x = (u * eigs) @ u.conj().T
+    else:
+        x = (u.conj().T * eigs) @ u
+    return (x + x.conj().T) / 2       # remove floating-point drift
 
 
-def sum_independent(spec_a: EnsembleSpec, spec_b: EnsembleSpec, rng,
-                    seed=None, replica=None) -> HermitianSample:
+def sum_independent(spec_a: EnsembleSpec, spec_b: EnsembleSpec,
+                    rng) -> np.ndarray:
     """Sum of independent draws from the two ensembles."""
     if spec_a.n != spec_b.n:
         raise ValueError("summands must have the same size")
-    xa = sample_matrix(spec_a, rng).matrix
-    xb = sample_matrix(spec_b, rng).matrix
-    return HermitianSample(matrix=xa + xb, seed=seed, replica=replica)
-
-
-def corner(sample: HermitianSample, m: int) -> HermitianSample:
-    """Leading principal m-by-m block."""
-    if not 1 <= m <= sample.n:
-        raise ValueError(f"corner size must lie in [1, {sample.n}]")
-    return HermitianSample(matrix=sample.matrix[:m, :m].copy(),
-                           seed=sample.seed, replica=sample.replica)
+    return sample_matrix(spec_a, rng) + sample_matrix(spec_b, rng)
 
 
 def eigenvalues(x) -> np.ndarray:
     """Sorted eigenvalues; the residual ||Xv - lambda v|| is checked against
     the documented tolerance."""
-    mat = x.matrix if isinstance(x, HermitianSample) else np.asarray(x)
+    mat = np.asarray(x)
     try:
         vals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -159,6 +146,20 @@ def eigenvalues(x) -> np.ndarray:
             f"eigensolver residual {residual:.3e} exceeds "
             f"{EIGENVALUE_RESIDUAL_TOL:.1e} * {scale:.3e}")
     return vals
+
+
+def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:
+    """Array whose row r is f applied to replica r's stream, in replica
+    order.  With threads > 1 the rows are computed on a thread pool; each row
+    depends on its own stream only, so the result is the same for any thread
+    count."""
+    def row(r: int):
+        return f(replica_rng(seed, r))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.array(list(pool.map(row, range(replicas))))
+    return np.array([row(r) for r in range(replicas)])
 
 
 @dataclass(frozen=True)
@@ -199,41 +200,33 @@ class TraceTable:
 
 
 def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
-                     threads: int = 1) -> TraceTable:
-    """Monte-Carlo table of normalized traces; `spec` is an EnsembleSpec or a
-    pair of them (summed independently)."""
+                     threads: int = 1, m: int | None = None) -> TraceTable:
+    """Monte-Carlo table of normalized traces of X, or of its leading m-by-m
+    corner; `spec` is an EnsembleSpec or a pair of them (summed
+    independently, and then without a corner)."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     powers = tuple(powers)
     if isinstance(spec, EnsembleSpec):
-        pair = None
-        n, eps, label = spec.n, float(spec.eps), spec.spec_hash()
-    else:
-        a, b = spec
-        if a.n != b.n:
-            raise ValueError("summands must have the same size")
-        pair = (a, b)
-        n, eps = a.n, float(a.eps)
-        label = f"{a.spec_hash()}+{b.spec_hash()}"
+        first, label = spec, spec.spec_hash()
 
-    def one(r: int) -> np.ndarray:
-        rng = replica_rng(seed, r)
-        if pair is None:
-            x = sample_matrix(spec, rng)
-        else:
-            x = sum_independent(pair[0], pair[1], rng)
-        eigs = eigenvalues(x)
+        def draw(rng):
+            return sample_matrix(spec, rng, m)
+    else:
+        if m is not None:
+            raise ValueError("corners of sums are not sampled")
+        first, label = spec[0], "+".join(s.spec_hash() for s in spec)
+
+        def draw(rng):
+            return sum_independent(*spec, rng)
+
+    def traces(rng) -> np.ndarray:
+        eigs = eigenvalues(draw(rng))
         return np.array([np.mean(eigs ** p) for p in powers])
 
-    values = np.empty((replicas, len(powers)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for r, row in enumerate(pool.map(one, range(replicas))):
-                values[r] = row
-    else:
-        for r in range(replicas):
-            values[r] = one(r)
-    return TraceTable(n=n, eps=eps, powers=powers, values=values,
+    return TraceTable(n=first.n if m is None else m, eps=float(first.eps),
+                      powers=powers,
+                      values=map_replicas(traces, replicas, seed, threads),
                       seed=seed, label=label)
 
 

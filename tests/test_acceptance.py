@@ -246,7 +246,7 @@ def test_criterion_06_weingarten_oracle():
                 [(0, 1), (1, 2), (2, 0)]]
     data = np.empty((reps, len(patterns)), dtype=complex)
     for r in range(reps):
-        x = rmt.sample_matrix(spec, rmt.replica_rng(60, r)).matrix
+        x = rmt.sample_matrix(spec, rmt.replica_rng(60, r))
         for c, pairs in enumerate(patterns):
             v = 1.0
             for i, j in pairs:
@@ -336,8 +336,7 @@ def test_criterion_08_restriction_vs_compression():
                                0.5)
         values = np.empty((reps, 4))
         for r in range(reps):
-            x = rmt.corner(rmt.sample_matrix(spec, rmt.replica_rng(2024, r)),
-                           n // 2)
+            x = rmt.sample_matrix(spec, rmt.replica_rng(2024, r), n // 2)
             eigs = rmt.eigenvalues(x)
             values[r] = [np.mean(eigs ** k) for k in ORDERS]
         if n == 256:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 
 from hofree.cli import main, write_histogram_svg
@@ -181,6 +182,19 @@ def test_restrict_refuses_non_integral_corner(tmp_path, capsys):
     code = main(args)
     assert code == 2
     assert "n = 8" in capsys.readouterr().err
+
+
+def test_threads_outside_one_to_cpu_count_refused(tmp_path, capsys):
+    # refused when the config is built, before any replica or thread starts
+    for threads in (0, (os.cpu_count() or 1) + 1):
+        for command in (["restrict", "--schedule", "4", "--corner-sizes", "8",
+                         "--replicas", "16"],
+                        ["simulate", "--spectrum", "1,0", "--replicas", "4"]):
+            args = ["--threads", str(threads), "--out", str(tmp_path),
+                    *command]
+            assert main(args) == 2
+            assert "threads must lie in [1, " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_file_schema_errors(tmp_path, capsys):

@@ -185,6 +185,17 @@ def test_leq_pp_examples_and_reflexivity():
             assert leq_pp(vp, vp)
 
 
+def test_leq_pp_is_the_partial_product_test():
+    # leq_pp compares lengths and partitions only; the oracle builds the
+    # product a * (0, pia^-1 pib) and compares it with b
+    for k in range(1, 5):
+        pps = list(partitioned_permutations(k))
+        for a, b in itertools.product(pps, repeat=2):
+            step = PartitionedPermutation.minimal(
+                a.permutation.inverse() * b.permutation)
+            assert leq_pp(a, b) == (product_pp(a, step) == b), (a, b)
+
+
 def test_leq_pp_antisymmetric_and_not_transitive():
     for k in range(1, 5):
         elems = list(partitioned_permutations(k))

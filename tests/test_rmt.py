@@ -8,7 +8,6 @@ from hofree.errors import GuardError
 from hofree.rmt import (
     EnsembleSpec,
     WEINGARTEN_MAX_ORDER,
-    corner,
     eigenvalues,
     exact_entry_moment,
     haar_unitary,
@@ -67,7 +66,7 @@ def test_fixed_spectrum_traces_are_deterministic():
     values = []
     for r in range(5):
         x = sample_matrix(spec, replica_rng(11, r))
-        values.append(np.trace(x.matrix).real)
+        values.append(np.trace(x).real)
     assert np.allclose(values, 0.0, atol=1e-12)
     table = trace_statistics(spec, (2,), replicas=64, seed=5)
     assert np.allclose(table.column(2), 8 / 3, atol=1e-12)
@@ -96,20 +95,69 @@ def test_sum_independent():
     b = EnsembleSpec.fixed((5, -1, -1))
     for r in range(3):
         x = sum_independent(a, b, replica_rng(9, r))
-        assert abs(np.trace(x.matrix).real - (3 + 3)) <= 1e-10
+        assert abs(np.trace(x).real - (3 + 3)) <= 1e-10
     with pytest.raises(ValueError):
         sum_independent(a, EnsembleSpec.fixed((1, 0)), replica_rng(0, 0))
 
 
 def test_corner():
-    spec = EnsembleSpec.fixed((3, 1, 0, -1))
-    x = sample_matrix(spec, replica_rng(4, 0))
-    c = corner(x, 2)
-    assert c.matrix.shape == (2, 2)
-    assert np.allclose(c.matrix, c.matrix.conj().T)
-    assert np.allclose(corner(x, 4).matrix, x.matrix)
-    with pytest.raises(ValueError):
-        corner(x, 5)
+    # every corner draw is Hermitian and its spectrum interlaces eps * l
+    # (Cauchy): a[j] <= b[j] <= a[j + n - m], both sorted ascending
+    for eigs in ((3, 1, 0, -1, -4), (2, 2, 0, -1, -3)):
+        spec = EnsembleSpec.fixed(eigs, eps=Fraction(1, 2))
+        a = np.sort(np.array(eigs, dtype=float) / 2)
+        n = spec.n
+        for m in range(1, n + 1):
+            for r in range(50):
+                x = sample_matrix(spec, replica_rng(4, r), m)
+                assert x.shape == (m, m)
+                assert np.array_equal(x, x.conj().T)
+                b = eigenvalues(x)
+                assert np.all(a[:m] <= b + 1e-12), (eigs, m, r)
+                assert np.all(b <= a[n - m:] + 1e-12), (eigs, m, r)
+    for m in (0, 6, -1):
+        with pytest.raises(ValueError):
+            sample_matrix(spec, replica_rng(4, 0), m)
+    with pytest.raises(ValueError, match="corners of sums"):
+        trace_statistics((spec, spec), (1,), replicas=2, seed=0, m=2)
+
+
+def test_full_draw_is_the_conjugation_formula():
+    # m = n keeps the draw of U diag(l) U* bit for bit
+    eigs = (5, 2, -1, -3)
+    spec = EnsembleSpec.fixed(eigs, eps=Fraction(1, 4))
+    for r in range(5):
+        rng = replica_rng(12, r)
+        rng.random()                                  # the atom draw
+        z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        z /= np.sqrt(2.0)
+        q, upper = np.linalg.qr(z)
+        d = np.diagonal(upper)
+        u = q * (d / np.abs(d))
+        x = (u * (0.25 * np.array(eigs, dtype=float))) @ u.conj().T
+        x = (x + x.conj().T) / 2
+        assert np.array_equal(sample_matrix(spec, replica_rng(12, r)), x)
+        assert np.array_equal(sample_matrix(spec, replica_rng(12, r), 4), x)
+
+
+def test_corner_entry_moments_match_weingarten():
+    # corner entries are entries of X: their moments are the exact ones
+    spec = EnsembleSpec.fixed((2, 1, -1, -2))
+    reps = 20_000
+    pairs_list = [[(0, 0)], [(0, 1), (1, 0)], [(0, 0), (1, 1)],
+                  [(0, 1), (1, 2), (2, 0)], [(2, 2), (2, 2)],
+                  [(0, 1)], [(0, 1), (0, 1)], [(1, 2), (1, 2), (2, 1)]]
+    samples = np.empty((reps, len(pairs_list)), dtype=complex)
+    for r in range(reps):
+        x = sample_matrix(spec, replica_rng(35, r), 3)
+        for c, pairs in enumerate(pairs_list):
+            samples[r, c] = np.prod([x[i, j] for i, j in pairs])
+    for c, pairs in enumerate(pairs_list):
+        vals = samples[:, c]
+        exact = complex(exact_entry_moment(spec, pairs))
+        se = max(vals.real.std(), vals.imag.std()) / np.sqrt(reps)
+        assert abs(vals.mean().real - exact.real) <= 3 * se + 1e-12, pairs
+        assert abs(vals.mean().imag - exact.imag) <= 3 * se + 1e-12, pairs
 
 
 def test_eigenvalues_small_cases():
@@ -124,6 +172,10 @@ def test_trace_statistics_thread_count_invariance(tmp_path):
     t1 = trace_statistics(spec, (1, 2), replicas=40, seed=21, threads=1)
     t4 = trace_statistics(spec, (1, 2), replicas=40, seed=21, threads=4)
     assert np.array_equal(t1.values, t4.values)
+    c1 = trace_statistics(spec, (1, 2), replicas=40, seed=21, threads=1, m=2)
+    c2 = trace_statistics(spec, (1, 2), replicas=40, seed=21, threads=2, m=2)
+    assert np.array_equal(c1.values, c2.values)
+    assert not np.array_equal(c1.values, t1.values)
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     t1.to_csv(p1)
@@ -218,7 +270,7 @@ def test_entry_moment_matches_monte_carlo():
                   [(0, 1), (1, 2), (2, 0)]]
     samples = {tuple(p): np.empty(reps, dtype=complex) for p in pairs_list}
     for r in range(reps):
-        x = sample_matrix(spec, replica_rng(33, r)).matrix
+        x = sample_matrix(spec, replica_rng(33, r))
         for pairs in pairs_list:
             v = 1.0
             for i, j in pairs:
@@ -236,7 +288,7 @@ def test_unitary_invariance_of_eigenvalue_statistics():
     spec = EnsembleSpec.fixed((4, 2, 0, -1), eps=0.25)
     w = haar_unitary(4, replica_rng(100, 0))
     for r in range(5):
-        x = sample_matrix(spec, replica_rng(55, r)).matrix
+        x = sample_matrix(spec, replica_rng(55, r))
         conj = w @ x @ w.conj().T
         assert np.max(np.abs(eigenvalues(conj) - eigenvalues(x))) <= 1e-10
 
@@ -249,7 +301,7 @@ def test_unitary_invariance_of_entry_statistics():
     plain = np.empty(reps, dtype=complex)
     conjugated = np.empty(reps, dtype=complex)
     for r in range(reps):
-        x = sample_matrix(spec, replica_rng(66, r)).matrix
+        x = sample_matrix(spec, replica_rng(66, r))
         y = w @ x @ w.conj().T
         plain[r] = x[0, 1] * x[1, 0]
         conjugated[r] = y[0, 1] * y[1, 0]
