@@ -368,6 +368,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        experiments.check_threads(args.threads)
         return _COMMANDS[args.command](args)
     except GuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ Moment and cumulant tables are multiplicative functionals on set partitions:
 the value at a partition is the product of the values of its blocks.  Tables
 are therefore stored per sorted subset of positions.  For matrix arguments the
 expectation is the normalized trace of the ordered product, computed in exact
-rational arithmetic; the floating (sample-based) path is kept separate.
+rational arithmetic; sampled tables invert empirical moments by the same recursion.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .partperm import SetPartition, mobius, set_partitions
+from .partperm import SetPartition
 
 
 def _subsets_by_size(k):
@@ -116,20 +116,20 @@ def cumulants_to_moments(c: CumulantTable) -> MomentTable:
 
 
 def cumulant_of_products(c: CumulantTable, grouping: SetPartition):
-    """Joint cumulant of the blockwise products, by Leonov-Shiryaev:
-    k(products over the blocks of the grouping) = sum of k_W over partitions
-    W whose join with the grouping is the full partition."""
+    """Joint cumulant of the blockwise products (Leonov-Shiryaev).  A joint
+    moment of the products is the moment of the union of their blocks, which
+    for an interval grouping keeps the positions in order; the grouped moment
+    table is then inverted by the same recursion."""
     if grouping.size != c.order:
         raise ValueError("grouping size does not match table order")
-    for blk in grouping.blocks():
+    blocks = grouping.blocks()
+    for blk in blocks:
         if list(blk) != list(range(blk[0], blk[-1] + 1)):
             raise ValueError("grouping must be an interval partition")
-    full = SetPartition.full(c.order)
-    total = 0
-    for w in set_partitions(c.order):
-        if w.join(grouping) == full:
-            total = total + c.value(w)
-    return total
+    m = cumulants_to_moments(c)
+    grouped = MomentTable.from_function(
+        len(blocks), lambda t: m.block_value([e for j in t for e in blocks[j]]))
+    return moments_to_cumulants(grouped).top()
 
 
 # -- exact matrix arguments ------------------------------------------------
@@ -198,35 +198,44 @@ def commutator_cumulant_sides(matrices: Sequence, i: int, w: SetPartition):
 class CumulantEstimate:
     value: complex
     stderr: float
-    bootstrap_count: int
 
 
-def bootstrap_stderr(boots: np.ndarray) -> float:
-    """Standard error of a complex estimate from its bootstrap replicates:
-    the spreads of the real and imaginary parts add in quadrature."""
-    return float(np.sqrt(np.var(boots.real, ddof=1) + np.var(boots.imag, ddof=1)))
+def sample_cumulants(samples: np.ndarray) -> CumulantTable:
+    """Plug-in joint cumulants of every subset of the columns of a
+    (replicas, k) array.
 
-
-def plugin_cumulant(samples: np.ndarray) -> complex:
-    """Plug-in joint cumulant of the columns of a (replicas, k) array.
-
-    For orders >= 2 the data is centered first: joint cumulants are
-    translation invariant, and centering removes the cancellation error that
-    would otherwise leave round-off residue on deterministic input.
+    Orders >= 2 are inverted from the moments of the centered data: joint
+    cumulants are translation invariant, and centering removes the
+    cancellation error that would otherwise leave round-off residue on
+    deterministic input.  The centered first moments vanish, so they enter
+    the recursion as 0; the order-1 entries are the column means.
     """
     k = samples.shape[1]
-    if k == 1:
-        return np.mean(samples[:, 0])
-    samples = samples - samples.mean(axis=0, keepdims=True)
-    total = 0
-    for p in set_partitions(k):
-        if any(len(blk) == 1 for blk in p.blocks()):
-            continue     # centered first moments vanish identically
-        term = mobius(p, SetPartition.full(k))
-        for blk in p.blocks():
-            term = term * np.mean(np.prod(samples[:, list(blk)], axis=1))
-        total = total + term
-    return total
+    centered = samples - samples.mean(axis=0, keepdims=True)
+    moments = MomentTable.from_function(
+        k, lambda s: 0 if len(s) == 1
+        else np.mean(np.prod(centered[:, list(s)], axis=1)))
+    values = dict(moments_to_cumulants(moments).values)
+    for i in range(k):
+        values[(i,)] = np.mean(samples[:, i])
+    return CumulantTable(k, values)
+
+
+def bootstrap(samples: np.ndarray, statistic: Callable, n_boot: int,
+              rng: np.random.Generator):
+    """Point values of statistic(samples), a list, and a nonparametric
+    bootstrap standard error for each entry: n_boot resamples of the rows,
+    drawn from rng.  The spreads of the real and imaginary parts add in
+    quadrature."""
+    point = statistic(samples)
+    reps = samples.shape[0]
+    boots = np.empty((len(point), n_boot), dtype=complex)
+    for b in range(n_boot):
+        idx = rng.integers(0, reps, size=reps)
+        boots[:, b] = statistic(samples[idx])
+    stderr = [float(np.sqrt(np.var(row.real, ddof=1) + np.var(row.imag, ddof=1)))
+              for row in boots]
+    return point, stderr
 
 
 def estimate_cumulants(samples: np.ndarray, columns: Sequence[int],
@@ -235,23 +244,18 @@ def estimate_cumulants(samples: np.ndarray, columns: Sequence[int],
     """Plug-in estimate of the joint cumulant of the selected columns, with a
     nonparametric-bootstrap standard error.
 
-    The plug-in estimator (empirical moments, then Mobius inversion) is biased
-    at O(1/replicas); at the replica counts used here the bias is negligible
-    against the Monte-Carlo noise.
+    The plug-in estimator (empirical moments, then the subset recursion) is
+    biased at O(1/replicas); at the replica counts used here the bias is
+    negligible against the Monte-Carlo noise.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("need a 2d array with at least 2 replicas")
     if len(columns) > 4:
         raise ValueError("estimation is supported for joint orders <= 4")
-    sub = samples[:, list(columns)]
-    point = plugin_cumulant(sub)
     if rng is None:
         rng = np.random.default_rng(0)
-    reps = sub.shape[0]
-    boots = np.empty(n_boot, dtype=complex)
-    for b in range(n_boot):
-        idx = rng.integers(0, reps, size=reps)
-        boots[b] = plugin_cumulant(sub[idx])
-    return CumulantEstimate(value=point, stderr=bootstrap_stderr(boots),
-                            bootstrap_count=n_boot)
+    (value,), (stderr,) = bootstrap(
+        samples[:, list(columns)], lambda s: [sample_cumulants(s).top()],
+        n_boot, rng)
+    return CumulantEstimate(value=value, stderr=stderr)

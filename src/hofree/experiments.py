@@ -55,6 +55,13 @@ def naive_moments_of_weight(l: ShiftedWeight, order: int, eps=1) -> list:
             for k in range(1, order + 1)]
 
 
+def check_threads(threads: int) -> None:
+    cores = os.cpu_count() or 1
+    if not 1 <= threads <= cores:
+        raise ValueError(f"threads must lie in [1, {cores}] (the CPU "
+                         f"count); got {threads}")
+
+
 @dataclass
 class ExperimentConfig:
     """Shared knobs for the tensor/restriction/simulation experiments."""
@@ -81,10 +88,7 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
-        cores = os.cpu_count() or 1
-        if not 1 <= self.threads <= cores:
-            raise ValueError(f"threads must lie in [1, {cores}] (the CPU "
-                             f"count); got {self.threads}")
+        check_threads(self.threads)
 
     def eps(self, n: int) -> float:
         return float(n) ** -self.eps_exponent

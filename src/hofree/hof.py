@@ -10,6 +10,7 @@ schedules.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,10 +21,11 @@ import numpy as np
 from . import rmt
 from .cumulants import (
     CumulantEstimate,
+    CumulantTable,
     MomentTable,
-    bootstrap_stderr,
+    bootstrap,
     moments_to_cumulants,
-    plugin_cumulant,
+    sample_cumulants,
 )
 from .errors import GuardError
 from .partperm import (
@@ -38,23 +40,15 @@ from .partperm import (
 KAPPA_MAX_ORDER = 4
 
 
-def entry_cumulant(spec: rmt.EnsembleSpec, pairs: Sequence[tuple[int, int]]):
-    """Joint classical cumulant of the designated entries, exact through the
-    Weingarten oracle."""
+def entry_cumulants(spec: rmt.EnsembleSpec,
+                    pairs: Sequence[tuple[int, int]]) -> CumulantTable:
+    """Joint classical cumulants of the designated entries over every subset
+    of positions, exact through the Weingarten oracle; k_V of the entries is
+    .value(V), whether or not the pairing refines V."""
     table = MomentTable.from_function(
         len(pairs),
         lambda subset: rmt.exact_entry_moment(spec, [pairs[i] for i in subset]))
-    return moments_to_cumulants(table).top()
-
-
-def entry_cumulant_for_partition(spec: rmt.EnsembleSpec, v: SetPartition,
-                                 pairs: Sequence[tuple[int, int]]):
-    """k_V of the designated entries: multiplicative over the blocks of V.
-    Defined for any pairing, whether or not it refines V."""
-    total = 1
-    for blk in v.blocks():
-        total = total * entry_cumulant(spec, [pairs[i] for i in blk])
-    return total
+    return moments_to_cumulants(table)
 
 
 @dataclass(frozen=True)
@@ -81,21 +75,10 @@ def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     if spec.n < k:
         raise GuardError(
             f"entry patterns need n >= k (n = {spec.n}, k = {k}); refusing")
-    block_cache: dict = {}
-
-    def block_cumulant(pairs):
-        key = tuple(pairs)
-        if key not in block_cache:
-            block_cache[key] = entry_cumulant(spec, pairs)
-        return block_cache[key]
-
-    values = {}
-    for vp in partitioned_permutations(k):
-        pi = vp.permutation
-        total = 1
-        for blk in vp.partition.blocks():
-            total = total * block_cumulant([(m, pi(m)) for m in blk])
-        values[vp] = total
+    tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)])
+              for pi in map(Permutation, itertools.permutations(range(k)))}
+    values = {vp: tables[vp.permutation].value(vp.partition)
+              for vp in partitioned_permutations(k)}
     return KappaTable(order=k, n=spec.n, eps=spec.eps, values=values)
 
 
@@ -117,29 +100,18 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
     data = rmt.map_replicas(
         lambda rng: rmt.sample_matrix(spec, rng)[rows_at, cols_at],
         replicas, seed)
+    cols_of = {vp.permutation: [col[(m, vp.permutation(m))] for m in range(k)]
+               for vp in targets}
 
-    def table_from(rows: np.ndarray) -> dict:
-        out = {}
-        for vp in targets:
-            total = 1
-            for blk in vp.partition.blocks():
-                cols = [col[(m, vp.permutation(m))] for m in blk]
-                total = total * plugin_cumulant(rows[:, cols])
-            out[vp] = total
-        return out
+    def table_from(rows: np.ndarray) -> list:
+        tables = {pi: sample_cumulants(rows[:, cols])
+                  for pi, cols in cols_of.items()}
+        return [tables[vp.permutation].value(vp.partition) for vp in targets]
 
-    point = table_from(data)
-    rng = np.random.default_rng(seed + 1)
-    boots = {vp: np.empty(n_boot, dtype=complex) for vp in targets}
-    for b in range(n_boot):
-        idx = rng.integers(0, replicas, size=replicas)
-        resampled = table_from(data[idx])
-        for vp in targets:
-            boots[vp][b] = resampled[vp]
-    return {vp: CumulantEstimate(value=point[vp],
-                                 stderr=bootstrap_stderr(boots[vp]),
-                                 bootstrap_count=n_boot)
-            for vp in targets}
+    point, stderr = bootstrap(data, table_from, n_boot,
+                              np.random.default_rng(seed + 1))
+    return {vp: CumulantEstimate(value=v, stderr=se)
+            for vp, v, se in zip(targets, point, stderr)}
 
 
 def macro_from_micro(table: KappaTable, powers: Sequence[int]):

@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import comb, gcd, prod
 from typing import Sequence
 
+from .cumulants import MomentTable, moments_to_cumulants
 from .errors import GuardError, InvariantError
 
 LR_MAX_RANK = 8
@@ -717,46 +718,44 @@ def pushforward_stats(d: WeightedDecomposition, eps, orders: Sequence[int],
     orders = tuple(orders)
     r = len(orders)
     n = d.n
+    # index tuples a <= b <= c of the products of length <= 3, in the order
+    # the accumulation loop visits them
+    keys = []
+    for a in range(r):
+        keys.append((a,))
+        for b in range(a, r):
+            keys.append((a, b))
+            keys += [(a, b, c) for c in range(b, r)]
     total = 0
-    s1 = [0] * r
-    s2 = [[0] * r for _ in range(r)]
-    s3 = {}
-    triples = [(a, b, c) for a in range(r) for b in range(a, r)
-               for c in range(b, r)]
-    for t in triples:
-        s3[t] = 0
+    sums = [0] * len(keys)
     for l, mult in d.components:
         w = mult * weyl_dimension(l)
         total += w
         u = _component_moment_numerators(l, orders, which)
+        i = 0
         for a in range(r):
-            s1[a] += w * u[a]
+            wa = w * u[a]
+            sums[i] += wa
+            i += 1
             for b in range(a, r):
-                s2[a][b] += w * u[a] * u[b]
-        for (a, b, c) in triples:
-            s3[(a, b, c)] += w * u[a] * u[b] * u[c]
+                wab = wa * u[b]
+                sums[i] += wab
+                i += 1
+                for c in range(b, r):
+                    sums[i] += wab * u[c]
+                    i += 1
 
+    moment = {key: Fraction(s, total * n ** len(key))
+              for key, s in zip(keys, sums)}
+    cumulant = {key: moments_to_cumulants(MomentTable.from_function(
+        len(key), lambda sub: moment[tuple(key[j] for j in sub)])).top()
+        for key in keys}
     scale = [eps ** k for k in orders]
-    mean = [Fraction(s1[a], total * n) for a in range(r)]
-    raw2 = {}
-    for a in range(r):
-        for b in range(a, r):
-            raw2[(a, b)] = Fraction(s2[a][b], total * n ** 2)
-    cov = [[0] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            key = (min(a, b), max(a, b))
-            cov[a][b] = (raw2[key] - mean[a] * mean[b]) * scale[a] * scale[b]
-    third = {}
-    for (a, b, c) in triples:
-        raw3 = Fraction(s3[(a, b, c)], total * n ** 3)
-        k3 = (raw3
-              - mean[a] * raw2[(min(b, c), max(b, c))]
-              - mean[b] * raw2[(min(a, c), max(a, c))]
-              - mean[c] * raw2[(min(a, b), max(a, b))]
-              + 2 * mean[a] * mean[b] * mean[c])
-        third[(orders[a], orders[b], orders[c])] = \
-            k3 * scale[a] * scale[b] * scale[c]
-    scaled_mean = tuple(mean[a] * scale[a] for a in range(r))
-    return PushforwardStats(orders=orders, mean=scaled_mean,
-                            cov=tuple(tuple(row) for row in cov), third=third)
+    scaled_mean = tuple(cumulant[(a,)] * scale[a] for a in range(r))
+    cov = tuple(tuple(cumulant[(min(a, b), max(a, b))] * scale[a] * scale[b]
+                      for b in range(r)) for a in range(r))
+    third = {(orders[a], orders[b], orders[c]):
+             cumulant[(a, b, c)] * scale[a] * scale[b] * scale[c]
+             for (a, b, c) in (key for key in keys if len(key) == 3)}
+    return PushforwardStats(orders=orders, mean=scaled_mean, cov=cov,
+                            third=third)

@@ -83,12 +83,6 @@ class EnsembleSpec:
             raise ValueError("spectrum mixture is empty")
         return cls(n=len(atoms[0][0]), atoms=atoms, eps=eps)
 
-    @classmethod
-    def from_decomposition(cls, decomposition, eps=1) -> "EnsembleSpec":
-        """Mixture over the irreducible components, weighted by P(l)."""
-        pairs = [(l.entries, p) for l, p in decomposition.distribution()]
-        return cls.mixture(pairs, eps=eps)
-
     def spec_hash(self) -> str:
         text = repr((self.n, self.atoms, str(self.eps)))
         return hashlib.sha1(text.encode()).hexdigest()[:12]

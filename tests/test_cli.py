@@ -185,15 +185,20 @@ def test_restrict_refuses_non_integral_corner(tmp_path, capsys):
 
 
 def test_threads_outside_one_to_cpu_count_refused(tmp_path, capsys):
-    # refused when the config is built, before any replica or thread starts
-    for threads in (0, (os.cpu_count() or 1) + 1):
+    # refused before any command runs, by every command
+    for threads in (0, -5, (os.cpu_count() or 1) + 1):
         for command in (["restrict", "--schedule", "4", "--corner-sizes", "8",
                          "--replicas", "16"],
-                        ["simulate", "--spectrum", "1,0", "--replicas", "4"]):
+                        ["simulate", "--spectrum", "1,0", "--replicas", "4"],
+                        ["hof-check", "--n", "3", "--max-order", "2"],
+                        ["spectral", "--l", "2,0"],
+                        ["freeconv", "--a", "0,1"]):
             args = ["--threads", str(threads), "--out", str(tmp_path),
                     *command]
             assert main(args) == 2
-            assert "threads must lie in [1, " in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert "threads must lie in [1, " in captured.err
+            assert captured.out == ""
     assert not any(tmp_path.iterdir())
 
 

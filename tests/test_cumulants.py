@@ -14,6 +14,7 @@ from hofree.cumulants import (
     estimate_cumulants,
     merge_adjacent,
     moments_to_cumulants,
+    sample_cumulants,
 )
 from hofree.partperm import SetPartition, mobius, set_partitions
 
@@ -171,6 +172,28 @@ def test_cumulant_of_products_agrees_with_direct_expansion():
         assert cumulant_of_products(c, grouping) == direct
 
 
+def test_cumulant_of_products_matches_leonov_shiryaev_sum():
+    # definition: k(products over the blocks of G) = sum of k_W over the
+    # partitions W whose join with G is the full partition
+    rng = random.Random(23)
+    for k in range(1, 6):
+        subsets = [s for r in range(1, k + 1)
+                   for s in itertools.combinations(range(k), r)]
+        c = CumulantTable(k, dict(zip(subsets, rational_rng_values(
+            rng, len(subsets)))))
+        full = SetPartition.full(k)
+        for cuts in itertools.chain.from_iterable(
+                itertools.combinations(range(1, k), r) for r in range(k)):
+            bounds = (0, *cuts, k)
+            grouping = SetPartition.from_blocks(
+                k, [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])])
+            expected = 0
+            for w in set_partitions(k):
+                if w.join(grouping) == full:
+                    expected = expected + c.value(w)
+            assert cumulant_of_products(c, grouping) == expected
+
+
 def test_cumulant_of_products_requires_interval_grouping():
     c = CumulantTable(3, {s: Fraction(1) for s in
                           [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]})
@@ -218,6 +241,44 @@ def test_commutator_identity_requires_connection():
     with pytest.raises(ValueError):
         commutator_cumulant_sides(mats, 0, SetPartition.from_blocks(
             3, [(0, 2), (1,)]))
+
+
+def mobius_plugin_cumulant(samples):
+    # the plug-in cumulant as a Mobius sum over set partitions of the
+    # centered data; partitions with a singleton block contribute 0
+    k = samples.shape[1]
+    if k == 1:
+        return np.mean(samples[:, 0])
+    samples = samples - samples.mean(axis=0, keepdims=True)
+    total = 0
+    for p in set_partitions(k):
+        if any(len(blk) == 1 for blk in p.blocks()):
+            continue
+        term = mobius(p, SetPartition.full(k))
+        for blk in p.blocks():
+            term = term * np.mean(np.prod(samples[:, list(blk)], axis=1))
+        total = total + term
+    return total
+
+
+def test_sample_cumulants_match_mobius_plugin():
+    rng = np.random.default_rng(31)
+    for trial in range(120):
+        k = 1 + trial % 4
+        x = rng.standard_normal((40, k)) + 2.0
+        if trial % 2:
+            x = x + 1j * rng.standard_normal((40, k))
+        if trial % 3 == 0 and k > 1:
+            x[:, -1] = x[:, 0]      # repeated column
+        table = sample_cumulants(x)
+        assert table.top() == mobius_plugin_cumulant(x)
+        # the entries of a column subset are the plug-ins of those columns;
+        # a column selection is column-major, so select from a column-major
+        # copy to keep the summation order of the column means
+        x = np.asfortranarray(x)
+        table = sample_cumulants(x)
+        for subset, value in table.values.items():
+            assert value == mobius_plugin_cumulant(x[:, list(subset)])
 
 
 def test_estimate_constant_samples():

@@ -5,8 +5,7 @@ import pytest
 
 from hofree.errors import GuardError
 from hofree.hof import (
-    entry_cumulant,
-    entry_cumulant_for_partition,
+    entry_cumulants,
     kappa_exact,
     kappa_mc,
     limit_scan,
@@ -56,7 +55,20 @@ def test_kappa_vanishes_when_cycles_leave_blocks():
                 if perm.cycle_partition().refines(v):
                     continue
                 pairs = [(m, perm(m)) for m in range(3)]
-                assert entry_cumulant_for_partition(spec, v, pairs) == 0
+                assert entry_cumulants(spec, pairs).value(v) == 0
+
+
+def test_kappa_exact_is_the_product_of_block_cumulants():
+    # each block's cumulant from its own moment table, as the definition
+    # k_V = product over the blocks of V reads
+    for spec, k in [(FIXED, 1), (FIXED, 2), (FIXED, 3), (MIXED, 1),
+                    (MIXED, 2), (MIXED, 3), (MIXED, 4)]:
+        for vp, value in kappa_exact(spec, k).items():
+            expected = 1
+            for blk in vp.partition.blocks():
+                pairs = [(m, vp.permutation(m)) for m in blk]
+                expected = expected * entry_cumulants(spec, pairs).top()
+            assert value == expected
 
 
 def test_kappa_constant_on_conjugacy_classes():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -513,11 +514,22 @@ def test_pushforward_scaling_and_natural_kind():
 
 
 def test_pushforward_third_cumulant_matches_direct():
-    d = lr_tensor_decompose((2, 0), (2, 0), 2)
-    stats = pushforward_stats(d, Fraction(1), (2,))
-    values = [(p, naive_spectral_measure(l).moment(2))
-              for l, p in d.distribution()]
-    m1 = sum(p * v for p, v in values)
-    m2 = sum(p * v ** 2 for p, v in values)
-    m3 = sum(p * v ** 3 for p, v in values)
-    assert stats.third[(2, 2, 2)] == m3 - 3 * m1 * m2 + 2 * m1 ** 3
+    # every covariance and third cumulant of the naive moments of orders
+    # 1..3, against the textbook formulas on the exact distribution
+    orders = (1, 2, 3)
+    for a, b in [((2, 0), (2, 0)), ((2, 1, 0), (1, 1, 0)),
+                 ((3, 1, 0), (2, 0, 0))]:
+        d = lr_tensor_decompose(a, b, len(a))
+        stats = pushforward_stats(d, Fraction(1), orders)
+        dist = [(p, [naive_spectral_measure(l).moment(k) for k in orders])
+                for l, p in d.distribution()]
+
+        def e(*idx):
+            return sum(p * prod(v[i] for i in idx) for p, v in dist)
+
+        for i, j in itertools.product(range(3), repeat=2):
+            assert stats.cov[i][j] == e(i, j) - e(i) * e(j)
+        for i, j, k in itertools.combinations_with_replacement(range(3), 3):
+            assert stats.third[(orders[i], orders[j], orders[k])] == (
+                e(i, j, k) - e(i) * e(j, k) - e(j) * e(i, k) - e(k) * e(i, j)
+                + 2 * e(i) * e(j) * e(k))
