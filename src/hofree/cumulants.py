@@ -9,6 +9,7 @@ rational arithmetic; sampled tables invert empirical moments by the same recursi
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,11 +20,17 @@ import numpy as np
 from .partperm import SetPartition
 
 
+@functools.lru_cache(maxsize=16)
 def _subsets_by_size(k):
     out = [()]
     for i in range(k):
         out += [s + (i,) for s in out]
-    return sorted((s for s in out if s), key=lambda s: (len(s), s))
+    return tuple(sorted((s for s in out if s), key=lambda s: (len(s), s)))
+
+
+@functools.lru_cache(maxsize=16)
+def _subset_set(k):
+    return frozenset(_subsets_by_size(k))
 
 
 @dataclass(frozen=True)
@@ -35,8 +42,7 @@ class _SubsetTable:
     values: Mapping[tuple[int, ...], object]
 
     def __post_init__(self):
-        expected = set(_subsets_by_size(self.order))
-        if set(self.values) != expected:
+        if self.values.keys() != _subset_set(self.order):
             raise ValueError("table must cover every nonempty subset exactly once")
 
     def block_value(self, subset):

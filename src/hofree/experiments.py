@@ -216,10 +216,12 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
     """Exact verification report: the macroscopic/microscopic trace-cumulant
     identity for fixed and two-atom mixed spectra, and the exhaustive triangle
     inequality over the summand set of the assembly formula."""
-    if max_order > 4:
-        raise ValueError("the exact identity path is limited to total order 4")
-    if inequality_order > 6:
-        raise ValueError("the inequality path is limited to k <= 6")
+    # an order below 1 would check nothing and still report success
+    if not 1 <= max_order <= 4:
+        raise ValueError(f"the identity order must lie in [1, 4]; got {max_order}")
+    if not 1 <= inequality_order <= 6:
+        raise ValueError(f"the inequality order must lie in [1, 6]; "
+                         f"got {inequality_order}")
     report = {"identity": [], "triangle": [], "all_passed": True}
     for n in ns:
         top = tuple(range(n, 0, -1))
@@ -231,26 +233,29 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
                 eps=Fraction(1, n)),
         }
         for label, spec in specs.items():
-            for pattern in trace_patterns(max_order):
-                lhs, rhs = hof.verify_trace_cumulant_identity(spec, pattern)
-                ok = lhs == rhs
-                report["all_passed"] &= ok
-                report["identity"].append({
-                    "n": n, "spectrum": label,
-                    "pattern": list(pattern),
-                    "lhs": f"{lhs.numerator}/{lhs.denominator}",
-                    "rhs": f"{rhs.numerator}/{rhs.denominator}",
-                    "equal": ok,
-                })
+            # patterns in trace_patterns(max_order) order, one table per order
+            for k in range(1, max_order + 1):
+                table = hof.kappa_exact(spec, k)
+                for pattern in integer_partitions(k):
+                    lhs = hof.trace_cumulant_direct(spec, pattern)
+                    rhs = hof.macro_from_micro(table, pattern)
+                    ok = lhs == rhs
+                    report["all_passed"] &= ok
+                    report["identity"].append({
+                        "n": n, "spectrum": label,
+                        "pattern": list(pattern),
+                        "lhs": f"{lhs.numerator}/{lhs.denominator}",
+                        "rhs": f"{rhs.numerator}/{rhs.denominator}",
+                        "equal": ok,
+                    })
     for k in range(1, inequality_order + 1):
-        checked = 0
-        holds = True
-        for ctype in integer_partitions(k):
-            gamma = contiguous_cycles(*ctype)
-            gamma_part = gamma.cycle_partition()
-            full = SetPartition.full(k)
-            top = PartitionedPermutation(full, gamma)
-            for vp in partitioned_permutations(k):
+        full = SetPartition.full(k)
+        gammas = [(g, g.cycle_partition(), PartitionedPermutation(full, g))
+                  for g in (contiguous_cycles(*c) for c in integer_partitions(k))]
+        checked, holds = 0, True
+        # one streamed sweep per k: the enumeration is never held in memory
+        for vp in partitioned_permutations(k):
+            for gamma, gamma_part, top in gammas:
                 below = leq_pp(vp, top)
                 if vp.partition.join(gamma_part) != full:
                     holds &= not below

@@ -178,10 +178,9 @@ def scaling_exponent(vp: PartitionedPermutation, gamma: Permutation) -> int:
     exactly when (V,pi) <= (1, gamma)."""
     if vp.size != gamma.size:
         raise ValueError("ground-set mismatch")
-    k = vp.size
-    top = PartitionedPermutation(SetPartition.full(k), gamma)
+    top_length = gamma.length() + 2 * (gamma.num_cycles() - 1)
     step = (gamma * vp.permutation.inverse()).length()
-    return step + vp.length() - top.length()
+    return step + vp.length() - top_length
 
 
 # -- limits along schedules ----------------------------------------------------

@@ -11,6 +11,7 @@ All values are immutable and hashable, all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,6 +77,11 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its minimum, sorted by minimum."""
+        return self._cycles
+
+    @functools.cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        # once per instance; not a field, so == and hash see only images
         out = []
         seen = [False] * self.size
         for start in range(self.size):
@@ -92,14 +98,14 @@ class Permutation:
         return tuple(out)
 
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return tuple(sorted((len(c) for c in self._cycles), reverse=True))
 
     def num_cycles(self) -> int:
-        return len(self.cycles())
+        return len(self._cycles)
 
     def cycle_partition(self) -> "SetPartition":
         """The partition C(pi) whose blocks are the cycles."""
-        return SetPartition.from_blocks(self.size, self.cycles())
+        return SetPartition.from_blocks(self.size, self._cycles)
 
     def length(self) -> int:
         """k minus the number of cycles (minimal transposition count)."""
@@ -173,20 +179,13 @@ class SetPartition:
         """Least upper bound in the refinement order."""
         if self.size != other.size:
             raise ValueError("ground-set mismatch")
-        parent = list(range(self.size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(self.size):
-            for b in (self.block_of[i], other.block_of[i]):
-                ra, rb = find(i), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        return SetPartition(tuple(find(i) for i in range(self.size)))
+        # labels stay block minima: merging two groups keeps the smaller
+        label = list(self.block_of)
+        for i, b in enumerate(other.block_of):
+            lo, hi = sorted((label[i], label[b]))
+            if lo != hi:
+                label = [lo if x == hi else x for x in label]
+        return SetPartition(tuple(label))
 
     def meet(self, other: "SetPartition") -> "SetPartition":
         """Greatest lower bound in the refinement order."""

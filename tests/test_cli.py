@@ -76,6 +76,16 @@ def test_hof_check_passes_and_guards(capsys):
     assert code == 3
     assert "refused" in err
 
+    # orders below 1 would check nothing and still report success
+    for max_order, inequality_order in (("0", "3"), ("3", "0"),
+                                        ("-2", "3"), ("3", "-1")):
+        code, out, err = run_cli(capsys, "hof-check", "--n", "3",
+                                 "--max-order", max_order,
+                                 "--inequality-order", inequality_order)
+        assert code == 2
+        assert out == ""
+        assert "must lie in" in err
+
 
 def test_simulate_deterministic_and_formats(tmp_path, capsys):
     args = ["--seed", "9", "--out", str(tmp_path / "a"), "simulate",

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hofree import hof, rmt
 from hofree.experiments import (
     ExperimentConfig,
     bulk_profile,
@@ -10,6 +11,14 @@ from hofree.experiments import (
     row_profile,
     tensor_experiment,
     trace_patterns,
+)
+from hofree.partperm import (
+    PartitionedPermutation,
+    SetPartition,
+    contiguous_cycles,
+    integer_partitions,
+    leq_pp,
+    partitioned_permutations,
 )
 from hofree.repunitary import (
     ShiftedWeight,
@@ -86,6 +95,50 @@ def test_hof_check_report_structure():
         hof_check((3,), max_order=5)
     with pytest.raises(ValueError):
         hof_check((3,), inequality_order=7)
+
+
+def test_hof_check_equals_the_per_pattern_report():
+    # the report built the old way: one kappa table per pattern, and the
+    # enumeration of partitioned permutations repeated for every cycle type
+    ns, max_order, inequality_order = (3, 4), 3, 5
+    expected = {"identity": [], "triangle": [], "all_passed": True}
+    for n in ns:
+        top = tuple(range(n, 0, -1))
+        alt = tuple(x + (1 if i % 2 == 0 else -1) for i, x in enumerate(top))
+        specs = {
+            "fixed": rmt.EnsembleSpec.fixed(top, eps=Fraction(1, n)),
+            "mixed": rmt.EnsembleSpec.mixture(
+                [(top, Fraction(1, 2)), (alt, Fraction(1, 2))],
+                eps=Fraction(1, n)),
+        }
+        for label, spec in specs.items():
+            for pattern in trace_patterns(max_order):
+                lhs, rhs = hof.verify_trace_cumulant_identity(spec, pattern)
+                expected["all_passed"] &= lhs == rhs
+                expected["identity"].append({
+                    "n": n, "spectrum": label, "pattern": list(pattern),
+                    "lhs": f"{lhs.numerator}/{lhs.denominator}",
+                    "rhs": f"{rhs.numerator}/{rhs.denominator}",
+                    "equal": lhs == rhs,
+                })
+    for k in range(1, inequality_order + 1):
+        checked, holds = 0, True
+        full = SetPartition.full(k)
+        for ctype in integer_partitions(k):
+            gamma = contiguous_cycles(*ctype)
+            top = PartitionedPermutation(full, gamma)
+            for vp in partitioned_permutations(k):
+                below = leq_pp(vp, top)
+                if vp.partition.join(gamma.cycle_partition()) != full:
+                    holds &= not below
+                    continue
+                checked += 1
+                e = hof.scaling_exponent(vp, gamma)
+                holds &= (e >= 0) and ((e == 0) == below)
+        expected["triangle"].append({"k": k, "summands_checked": checked,
+                                     "holds": holds})
+        expected["all_passed"] &= holds
+    assert hof_check(ns, max_order, inequality_order) == expected
 
 
 def test_trace_patterns():

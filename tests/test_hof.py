@@ -133,6 +133,14 @@ def test_scaling_exponent_examples():
         gamma = Permutation.from_cycles(k, *cycles)
         self_vp = PartitionedPermutation.minimal(gamma)
         assert scaling_exponent(self_vp, gamma) == 0
+    # |(1, gamma)| read from gamma equals the length of the built pair
+    for k in range(1, 5):
+        for gamma in map(Permutation, itertools.permutations(range(k))):
+            top = PartitionedPermutation(SetPartition.full(k), gamma)
+            for vp in partitioned_permutations(k):
+                step = (gamma * vp.permutation.inverse()).length()
+                assert (scaling_exponent(vp, gamma)
+                        == step + vp.length() - top.length())
 
 
 def partitions_of_integer(k):

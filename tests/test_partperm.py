@@ -66,6 +66,29 @@ def test_cycles_and_cycle_partition():
     assert t.cycle_partition() == SetPartition.from_blocks(3, [(0, 1), (2,)])
 
 
+def test_stored_cycles_match_a_cycle_walk():
+    for k in range(1, 6):
+        for images in itertools.permutations(range(k)):
+            walk, label = [], [None] * k
+            for start in range(k):
+                j, cyc = start, []
+                while label[j] is None:
+                    label[j] = start
+                    cyc.append(j)
+                    j = images[j]
+                if cyc:
+                    walk.append(tuple(cyc))
+            p = Permutation(images)
+            for _ in range(2):
+                assert p.cycles() == tuple(walk)
+                assert p.num_cycles() == len(walk)
+                assert p.length() == k - len(walk)
+                assert p.cycle_partition().block_of == tuple(label)
+            fresh = Permutation(images)
+            assert fresh == p and hash(fresh) == hash(p)
+            assert {fresh: 1}[p] == 1
+
+
 def test_permutation_length():
     assert Permutation.identity(4).length() == 0
     assert Permutation.from_cycles(3, (0, 1, 2)).length() == 2
@@ -103,6 +126,19 @@ def test_lattice_operations():
     assert not a.refines(b)
     with pytest.raises(ValueError):
         a.join(SetPartition.discrete(4))
+
+
+def test_join_is_the_least_upper_bound():
+    # brute force over set_partitions(k): the one common upper bound whose
+    # own upper bounds are all the common ones
+    for k in range(1, 6):
+        parts = list(set_partitions(k))
+        above = {a: frozenset(c for c in parts if a.refines(c)) for a in parts}
+        for a in parts:
+            for b in parts:
+                common = above[a] & above[b]
+                least = [c for c in common if above[c] == common]
+                assert least == [a.join(b)]
 
 
 def test_set_partition_enumeration_counts_and_order():
