@@ -4,7 +4,7 @@ Subpackages cover exact combinatorics of partitioned permutations, classical
 (tensor) cumulants, first-order free probability, spectral measures of U(n)
 irreducible representations, unitarily invariant random-matrix sampling with
 an exact Weingarten oracle, and the macroscopic/microscopic trace-cumulant
-relation together with its scaling limits.
+relation.
 """
 
 __version__ = "0.1.0"

@@ -165,8 +165,7 @@ def _load_config(args, **defaults) -> experiments.ExperimentConfig:
     """Flags override the config file, which overrides the defaults."""
     raw = {} if args.config is None else _read_config(Path(args.config))
     kwargs = dict(defaults)
-    for key in ("schedule", "eps_exponent", "amplitude", "row_amplitude",
-                "alpha", "corner_sizes", "replicas", "max_order"):
+    for key in _CONFIG_SCHEMA:
         flag = getattr(args, key, None)
         if flag is not None:
             kwargs[key] = flag
@@ -178,7 +177,6 @@ def _load_config(args, **defaults) -> experiments.ExperimentConfig:
         kwargs["corner_sizes"] = tuple(kwargs["corner_sizes"])
     if "alpha" in kwargs:
         kwargs["alpha"] = Fraction(str(kwargs["alpha"]))
-    kwargs["seed"] = args.seed if args.seed is not None else raw.get("seed", 1)
     kwargs["threads"] = args.threads
     return experiments.ExperimentConfig(**kwargs)
 
@@ -237,6 +235,8 @@ def cmd_spectral(args) -> int:
     entries = args.l
     if any(a <= b for a, b in zip(entries, entries[1:])):
         raise ValueError(f"shifted weight must be strictly decreasing: {entries}")
+    if args.order < 1:
+        raise ValueError(f"--order must be at least 1; got {args.order}")
     l = ShiftedWeight(entries)
     gamma = zelobenko_weights(l)
     naive = naive_spectral_measure(l).dilate(args.eps)

@@ -84,6 +84,10 @@ class ExperimentConfig:
                 f"got a = {self.eps_exponent}")
         if any(a >= b for a, b in zip(self.schedule, self.schedule[1:])):
             raise ValueError("schedule must be strictly increasing")
+        if any(n < 1 for n in self.schedule + self.corner_sizes):
+            raise ValueError("schedule and corner sizes must be at least 1")
+        if self.max_order < 1:
+            raise ValueError(f"max order must be at least 1; got {self.max_order}")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         if self.replicas < 2:

@@ -3,16 +3,14 @@
 Connects the microscopic data (cumulants of matrix entries along partitioned
 permutations, exact via the Weingarten oracle or estimated by Monte Carlo)
 with the macroscopic data (classical cumulants of power-sum traces): the
-exact finite-n assembly identity, the scaling exponents controlling which
-terms survive the large-n limit, and limit extraction along ensemble
-schedules.
+exact finite-n assembly identity and the scaling exponents controlling which
+terms survive the large-n limit.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,7 +31,7 @@ from .partperm import (
     Permutation,
     SetPartition,
     contiguous_cycles,
-    leq_pp,
+    leq_pp,  # unused here; the benchmark tracer's self-test reads hof.leq_pp
     partitioned_permutations,
 )
 
@@ -137,19 +135,14 @@ def macro_from_micro(table: KappaTable, powers: Sequence[int]):
     return total
 
 
-def trace_cumulant_direct(spec: rmt.EnsembleSpec, powers: Sequence[int],
-                          normalized: bool = False):
+def trace_cumulant_direct(spec: rmt.EnsembleSpec, powers: Sequence[int]):
     """Classical joint cumulant of the traces (Tr X^{p_i}), straight from the
     finite spectrum mixture: for a given atom the traces are deterministic, so
-    this is a cumulant of a finite discrete distribution.
-
-    With normalized=True the traces are tr = Tr/n.
-    """
+    this is a cumulant of a finite discrete distribution."""
     powers = tuple(powers)
-    scale = Fraction(1, spec.n) if normalized else 1
 
     def atom_trace(atom_index, p):
-        return spec.eps ** p * spec.atom_power_sum(atom_index, p) * scale
+        return spec.eps ** p * spec.atom_power_sum(atom_index, p)
 
     def joint(subset):
         total = 0
@@ -181,123 +174,3 @@ def scaling_exponent(vp: PartitionedPermutation, gamma: Permutation) -> int:
     top_length = gamma.length() + 2 * (gamma.num_cycles() - 1)
     step = (gamma * vp.permutation.inverse()).length()
     return step + vp.length() - top_length
-
-
-# -- limits along schedules ----------------------------------------------------
-
-@dataclass
-class TrendSeries:
-    """Scaled values along an n-schedule plus a 1/n Richardson extrapolation."""
-
-    label: str
-    ns: list
-    values: list
-    extrapolated: float | None = None
-
-    def finalize(self):
-        vals = [float(v) for v in self.values]
-        if len(vals) >= 2:
-            n2, n1 = self.ns[-1], self.ns[-2]
-            v2, v1 = vals[-1], vals[-2]
-            self.extrapolated = v2 + (v2 - v1) * n1 / (n2 - n1)
-        return self
-
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "n": list(self.ns),
-            "scaled_values": [_num_repr(v) for v in self.values],
-            "extrapolated": self.extrapolated,
-        }
-
-
-def _num_repr(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
-@dataclass
-class LimitRecord:
-    """Evidence for the limits of scaled entry cumulants (per conjugacy
-    class) and scaled trace cumulants (per power pattern)."""
-
-    kappa_trends: dict = field(default_factory=dict)
-    moment_trends: dict = field(default_factory=dict)
-    consistency: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        payload = {
-            "kappa": {k: t.to_dict() for k, t in self.kappa_trends.items()},
-            "moments": {k: t.to_dict() for k, t in self.moment_trends.items()},
-            "consistency": self.consistency,
-        }
-        return json.dumps(payload, indent=2)
-
-
-def limit_scan(schedule: Sequence[rmt.EnsembleSpec],
-               pp_targets: Sequence[PartitionedPermutation] = (),
-               power_targets: Sequence[Sequence[int]] = (),
-               tolerance: float = 0.05) -> LimitRecord:
-    """Scaled microscopic and macroscopic quantities along an increasing
-    n-schedule, with trend diagnostics and the moment/cumulant consistency
-    check at the largest n.
-
-    Microscopic: n^|(V,pi)| kappa_(V,pi).  Macroscopic: n^(2(l-1)) times the
-    cumulant of normalized traces.  The consistency check compares the
-    macroscopic value with the sum of scaled kappas over (V,pi) <= (1, gamma).
-    """
-    ns = [s.n for s in schedule]
-    if len(ns) < 3 or any(a >= b for a, b in zip(ns, ns[1:])):
-        raise ValueError("schedule must contain at least 3 increasing sizes")
-    record = LimitRecord()
-    orders = sorted({vp.size for vp in pp_targets}
-                    | {sum(p) for p in power_targets})
-    tables = {}
-    for spec in schedule:
-        for k in orders:
-            tables[(spec.n, k)] = kappa_exact(spec, k)
-
-    for vp in pp_targets:
-        label = f"|{vp.partition.block_of}|,{vp.permutation.images}"
-        trend = TrendSeries(label=label, ns=list(ns), values=[])
-        for spec in schedule:
-            kappa = tables[(spec.n, vp.size)].value(vp)
-            trend.values.append(kappa * Fraction(spec.n) ** vp.length()
-                                if isinstance(kappa, Fraction)
-                                else kappa * spec.n ** vp.length())
-        record.kappa_trends[label] = trend.finalize()
-
-    for powers in power_targets:
-        powers = tuple(powers)
-        label = ",".join(map(str, powers))
-        l = len(powers)
-        trend = TrendSeries(label=label, ns=list(ns), values=[])
-        for spec in schedule:
-            klt = trace_cumulant_direct(spec, powers, normalized=True)
-            scale = spec.n ** (2 * (l - 1))
-            trend.values.append(klt * scale)
-        record.moment_trends[label] = trend.finalize()
-
-        # moment = sum of kappas below (1, gamma), checked at the largest n
-        spec = schedule[-1]
-        gamma = contiguous_cycles(*powers)
-        k = sum(powers)
-        top = PartitionedPermutation(SetPartition.full(k), gamma)
-        table = tables[(spec.n, k)]
-        total = 0
-        for cand, kappa in table.items():
-            if leq_pp(cand, top):
-                total = total + kappa * spec.n ** cand.length()
-        m_val = float(trend.values[-1])
-        k_val = float(total)
-        gap = abs(m_val - k_val) / max(1.0, abs(m_val))
-        record.consistency.append({
-            "pattern": label,
-            "n": spec.n,
-            "macroscopic": m_val,
-            "kappa_sum": k_val,
-            "relative_gap": gap,
-            "within_tolerance": bool(gap <= tolerance),
-        })
-    return record

@@ -12,7 +12,6 @@ that weights each irreducible component by multiplicity times dimension.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -261,25 +260,6 @@ class WeightedDecomposition:
         return [(l, Fraction(m * weyl_dimension(l), total))
                 for l, m in self.components]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "components": [
-                {"l": list(l.entries), "mult": m, "dim": str(weyl_dimension(l))}
-                for l, m in self.components
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedDecomposition":
-        data = json.loads(text)
-        table = {ShiftedWeight(tuple(c["l"])): int(c["mult"])
-                 for c in data["components"]}
-        return cls.from_dict(int(data["n"]), table)
-
 
 def sample_component(d: WeightedDecomposition, rng) -> ShiftedWeight:
     """Exact inverse-CDF draw in the deterministic component order."""
@@ -421,35 +401,6 @@ def pieri_decompose(lam: Sequence[int], row: int, n: int) -> WeightedDecompositi
 
 
 # -- restriction to U(m) ------------------------------------------------------
-
-def branch_one_step(l: ShiftedWeight) -> list[tuple[ShiftedWeight, Fraction]]:
-    """Restriction to U(n-1): interlacing highest weights, multiplicity one,
-    probability proportional to dimension."""
-    n = l.n
-    if n < 2:
-        raise ValueError("branching needs n >= 2")
-    lam = l.highest_weight()
-    dim_l = weyl_dimension(l)
-    out = []
-
-    def rec(i, current):
-        if i == n - 1:
-            w = ShiftedWeight.from_highest_weight(tuple(current))
-            out.append((w, Fraction(weyl_dimension(w), dim_l)))
-            return
-        lo, hi = lam[i + 1], lam[i]
-        if current:
-            hi = min(hi, current[-1])
-        for v in range(hi, lo - 1, -1):
-            current.append(v)
-            rec(i + 1, current)
-            current.pop()
-
-    rec(0, [])
-    if sum(p for _, p in out) != 1:
-        raise InvariantError(f"branching of {l.entries} does not sum to one")
-    return out
-
 
 def _integer_determinant(mat: list[list[int]]) -> int:
     # Bareiss fraction-free elimination

@@ -201,6 +201,8 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     powers = tuple(powers)
+    if any(p < 1 for p in powers):
+        raise ValueError(f"trace powers must be at least 1; got {powers}")
     if isinstance(spec, EnsembleSpec):
         first, label = spec, spec.spec_hash()
 

@@ -161,6 +161,34 @@ def test_invalid_eps_exponent_rejected(tmp_path, capsys):
     assert "o(1/n)" in err
 
 
+def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
+    # refused at the boundary: exit 2, no traceback, nothing written
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"max_order": 0}))
+    out = tmp_path / "out"
+    for command, message in (
+            (["tensor", "--schedule", "0,2", "--replicas", "10"], "at least 1"),
+            (["tensor", "--schedule=-2,2", "--replicas", "10"], "at least 1"),
+            (["tensor", "--schedule", "2", "--max-order", "0"], "max order"),
+            (["--config", str(path), "tensor", "--schedule", "2"], "max order"),
+            (["restrict", "--schedule", "4", "--max-order", "0"], "max order"),
+            (["restrict", "--schedule", "4", "--corner-sizes", "0"],
+             "at least 1"),
+            (["simulate", "--spectrum", "1,0,-1", "--powers", "-1",
+              "--replicas", "10"], "powers must be at least 1"),
+            (["simulate", "--spectrum", "1,0,-1", "--powers", "1,0",
+              "--replicas", "10"], "powers must be at least 1"),
+            (["spectral", "--l", "2,0", "--order", "-2"], "--order must be"),
+            (["spectral", "--l", "2,0", "--order", "0"], "--order must be")):
+        code = main(["--out", str(out), *command])
+        captured = capsys.readouterr()
+        assert code == 2, command
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def test_config_file_roundtrip(tmp_path, capsys):
     config = {"schedule": [2, 4], "replicas": 100, "max_order": 2}
     path = tmp_path / "config.json"

@@ -44,6 +44,13 @@ def test_config_validation():
         ExperimentConfig(schedule=(4, 4))
     with pytest.raises(ValueError):
         ExperimentConfig(alpha=Fraction(3, 2))
+    for bad in ({"schedule": (0, 2)}, {"schedule": (-2, 2)},
+                {"corner_sizes": (0, 8)}, {"corner_sizes": (-8,)}):
+        with pytest.raises(ValueError, match="at least 1"):
+            ExperimentConfig(**bad)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="max order must be at least 1"):
+            ExperimentConfig(max_order=order)
     config = ExperimentConfig(schedule=(2, 4))
     assert config.eps(4) == 4 ** -1.5
 

@@ -8,7 +8,6 @@ from hofree.hof import (
     entry_cumulants,
     kappa_exact,
     kappa_mc,
-    limit_scan,
     macro_from_micro,
     scaling_exponent,
     trace_cumulant_direct,
@@ -201,45 +200,3 @@ def test_kappa_mc_replica_guard():
 def test_kappa_mc_refuses_empty_targets():
     with pytest.raises(ValueError, match="at least one target"):
         kappa_mc(FIXED, [], replicas=1000, seed=0)
-
-
-def test_limit_scan_first_order_trend():
-    # spectrum l_i = i (1-based) with eps = 1/n: kappa_(1,e) = (n+1)/(2n),
-    # whose scaled trend extrapolates to exactly 1/2
-    schedule = [EnsembleSpec.fixed(tuple(range(n, 0, -1)), eps=Fraction(1, n))
-                for n in (4, 8, 16)]
-    vp = pp([(0,)], [], 1)
-    record = limit_scan(schedule, pp_targets=[vp])
-    trend = next(iter(record.kappa_trends.values()))
-    assert trend.values == [Fraction(n + 1, 2 * n) for n in (4, 8, 16)]
-    assert abs(trend.extrapolated - 0.5) <= 1e-12
-
-
-def test_limit_scan_fixed_spectrum_moments_vanish():
-    schedule = [EnsembleSpec.fixed(tuple(range(n, 0, -1)), eps=Fraction(1, n))
-                for n in (4, 6, 8)]
-    record = limit_scan(schedule, power_targets=[(1, 1)], tolerance=1.0)
-    trend = next(iter(record.moment_trends.values()))
-    assert all(v == 0 for v in trend.values)
-    assert record.consistency[0]["within_tolerance"]
-
-
-def test_limit_scan_mixture_consistency():
-    def spec_for(n):
-        top = tuple(range(n, 0, -1))
-        alt = tuple(x + (1 if i % 2 == 0 else -1) for i, x in enumerate(top))
-        return EnsembleSpec.mixture(
-            [(top, Fraction(1, 2)), (alt, Fraction(1, 2))],
-            eps=Fraction(1, n * n))
-    schedule = [spec_for(n) for n in (6, 9, 12)]
-    record = limit_scan(schedule, power_targets=[(1, 1)], tolerance=0.35)
-    check = record.consistency[0]
-    assert check["within_tolerance"], check
-    text = record.to_json()
-    assert "kappa_sum" in text
-
-
-def test_limit_scan_schedule_validation():
-    specs = [EnsembleSpec.fixed((2, 1, 0)), EnsembleSpec.fixed((2, 1, 0, -1))]
-    with pytest.raises(ValueError):
-        limit_scan(specs)

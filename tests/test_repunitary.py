@@ -14,7 +14,6 @@ from hofree.repunitary import (
     ShiftedWeight,
     WeightedDecomposition,
     branch_chain,
-    branch_one_step,
     interlacing_chain_count,
     lr_tensor_decompose,
     naive_spectral_measure,
@@ -328,15 +327,6 @@ def test_distribution_examples():
     assert single.distribution() == [(sw(4, 1), Fraction(1))]
 
 
-def test_json_roundtrip():
-    d = lr_tensor_decompose((2, 1, 0), (1, 1, 0), 3)
-    text = d.to_json()
-    back = WeightedDecomposition.from_json(text)
-    assert back == d
-    payload = d.to_json_dict()
-    assert all(isinstance(c["dim"], str) for c in payload["components"])
-
-
 def test_sample_component():
     single = WeightedDecomposition.from_dict(2, {sw(4, 1): 2})
     rng = np.random.default_rng(0)
@@ -359,15 +349,32 @@ def test_sample_component():
 
 # -- branching -----------------------------------------------------------------
 
+def one_step(w):
+    return branch_chain(w, w.n - 1)
+
+
 def test_branch_one_step_examples():
-    steps = dict(branch_one_step(ShiftedWeight.from_highest_weight((1, 0))))
+    steps = dict(one_step(ShiftedWeight.from_highest_weight((1, 0))))
     assert steps == {ShiftedWeight((1,)): Fraction(1, 2),
                      ShiftedWeight((0,)): Fraction(1, 2)}
-    rigid = dict(branch_one_step(ShiftedWeight.from_highest_weight((2, 2, 2))))
+    rigid = dict(one_step(ShiftedWeight.from_highest_weight((2, 2, 2))))
     assert rigid == {ShiftedWeight.from_highest_weight((2, 2)): Fraction(1)}
-    u3 = dict(branch_one_step(ShiftedWeight.from_highest_weight((1, 0, 0))))
+    u3 = dict(one_step(ShiftedWeight.from_highest_weight((1, 0, 0))))
     assert u3 == {ShiftedWeight.from_highest_weight((1, 0)): Fraction(2, 3),
                   ShiftedWeight.from_highest_weight((0, 0)): Fraction(1, 3)}
+
+
+def test_one_step_support_matches_bruteforce_interlacing():
+    # the full one-step support, with weights dim(w)/dim(l) counted by chains
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        lam = random_weight(rng, n, lo=-3, hi=5)
+        expected = {ShiftedWeight.from_highest_weight(w):
+                    Fraction(dimension_oracle(w), dimension_oracle(lam))
+                    for w in interlacers_oracle(lam)}
+        got = dict(one_step(ShiftedWeight.from_highest_weight(lam)))
+        assert got == expected
 
 
 def test_interlacing_chain_count_matches_bruteforce():
@@ -397,8 +404,8 @@ def test_branch_chain_matches_one_step_composition():
         l = ShiftedWeight.from_highest_weight(lam)
         chain = dict(branch_chain(l, n - 2))
         composed: dict = {}
-        for w1, p1 in branch_one_step(l):
-            for w2, p2 in branch_one_step(w1):
+        for w1, p1 in one_step(l):
+            for w2, p2 in one_step(w1):
                 composed[w2] = composed.get(w2, Fraction(0)) + p1 * p2
         assert chain == composed
         assert sum(chain.values()) == 1
