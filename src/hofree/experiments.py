@@ -102,6 +102,8 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
     """Per (n, k): exact mean/variance of the spectral moments of the random
     tensor component, the free-convolution target, and Monte-Carlo moments of
     the sum of independent matrices.  One row per (n, k)."""
+    if not config.schedule:
+        raise ValueError("the tensor schedule is empty")
     rows = []
     orders = tuple(range(1, config.max_order + 1))
     for n in config.schedule:
@@ -148,6 +150,8 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
 def restriction_experiment(config: ExperimentConfig) -> list[dict]:
     """Per (n, k): exact mean moments of the restricted component, the
     free-compression target, and corner Monte Carlo for the matching alpha."""
+    if not config.schedule + config.corner_sizes:
+        raise ValueError("the schedule and the corner sizes are both empty")
     rows = []
     orders = tuple(range(1, config.max_order + 1))
     alpha = Fraction(config.alpha)

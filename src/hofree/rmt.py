@@ -1,10 +1,13 @@
 """Unitarily invariant random matrices with prescribed spectra.
 
 Monte-Carlo sampling (Haar unitaries via phase-fixed QR, conjugated spectra,
-sums, corners, eigenvalues, per-replica trace tables) runs in 64-bit complex
-floating point; the Weingarten oracle for exact Haar integrals of products of
-matrix entries runs entirely in rational arithmetic.  The two regimes never
-mix.
+sums, corners, per-replica trace tables) runs in 64-bit complex floating
+point; the Weingarten oracle for exact Haar integrals of products of matrix
+entries runs entirely in rational arithmetic.  The two regimes never mix.
+
+A replica's normalized traces tr X^p come from Frobenius products of matrix
+powers (`power_traces`), with no eigensolve; `eigenvalues`, with its residual
+check, serves the histogram and the tests.
 
 Replica r of a run with master seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are reproducible and independent of any
@@ -127,8 +130,10 @@ def sum_independent(spec_a: EnsembleSpec, spec_b: EnsembleSpec,
 
 def eigenvalues(x) -> np.ndarray:
     """Sorted eigenvalues; the residual ||Xv - lambda v|| is checked against
-    the documented tolerance."""
+    the documented tolerance.  Non-finite input is refused."""
     mat = np.asarray(x)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"matrix of shape {mat.shape} has non-finite entries")
     try:
         vals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -140,6 +145,26 @@ def eigenvalues(x) -> np.ndarray:
             f"eigensolver residual {residual:.3e} exceeds "
             f"{EIGENVALUE_RESIDUAL_TOL:.1e} * {scale:.3e}")
     return vals
+
+
+def power_traces(x, powers: Sequence[int]) -> np.ndarray:
+    """Normalized traces tr X^p = (1/m) Tr X^p of a Hermitian m-by-m X, one
+    per entry of `powers`, with no eigensolve: Tr X^p is the Frobenius
+    product <X^a, X^b> with a = floor(p/2) and b = ceil(p/2), exact for
+    Hermitian X, and tr X is read from the diagonal.  Up to the largest
+    power P this forms X^2, ..., X^ceil(P/2): one product for P <= 4.
+
+    >>> power_traces(np.diag([2.0, -1.0, 0.0]), (3, 1, 2, 2))
+    array([2.33333333, 0.33333333, 1.66666667, 1.66666667])
+    """
+    x = np.asarray(x)
+    m = x.shape[0]
+    power = [None, x]
+    for _ in range((max(powers) + 1) // 2 - 1):
+        power.append(power[-1] @ x)
+    return np.array([(x.trace() if p == 1
+                      else np.vdot(power[p // 2], power[p - p // 2])).real / m
+                     for p in powers])
 
 
 def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:
@@ -158,7 +183,8 @@ def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Per-replica normalized traces tr X^p = (1/n) sum of eigenvalue powers."""
+    """Per-replica normalized traces tr X^p = (1/n) Tr X^p, from
+    `power_traces`."""
 
     n: int
     eps: float
@@ -201,7 +227,7 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     powers = tuple(powers)
-    if any(p < 1 for p in powers):
+    if not powers or min(powers) < 1:
         raise ValueError(f"trace powers must be at least 1; got {powers}")
     if isinstance(spec, EnsembleSpec):
         first, label = spec, spec.spec_hash()
@@ -216,14 +242,15 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
         def draw(rng):
             return sum_independent(*spec, rng)
 
-    def traces(rng) -> np.ndarray:
-        eigs = eigenvalues(draw(rng))
-        return np.array([np.mean(eigs ** p) for p in powers])
-
+    values = map_replicas(lambda rng: power_traces(draw(rng), powers),
+                          replicas, seed, threads)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, i = bad[0]
+        raise ValueError(f"tr X^{powers[i]} of replica {r} is not finite "
+                         f"({values[r, i]})")
     return TraceTable(n=first.n if m is None else m, eps=float(first.eps),
-                      powers=powers,
-                      values=map_replicas(traces, replicas, seed, threads),
-                      seed=seed, label=label)
+                      powers=powers, values=values, seed=seed, label=label)
 
 
 # -- Weingarten oracle ---------------------------------------------------------

@@ -165,8 +165,17 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
     # refused at the boundary: exit 2, no traceback, nothing written
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"max_order": 0}))
+    no_schedule = tmp_path / "no_schedule.json"
+    no_schedule.write_text(json.dumps({"schedule": []}))
+    no_sizes = tmp_path / "no_sizes.json"
+    no_sizes.write_text(json.dumps({"schedule": [], "corner_sizes": []}))
     out = tmp_path / "out"
     for command, message in (
+            (["--config", str(no_schedule), "tensor"], "schedule is empty"),
+            (["--config", str(no_sizes), "restrict"], "both empty"),
+            # tr X^2 overflows: no inf traces or NaN cumulants are written
+            (["simulate", "--spectrum", "1e200,0,-1", "--powers", "1,2",
+              "--replicas", "5", "--svg"], "tr X^2 of replica 0 is not finite"),
             (["tensor", "--schedule", "0,2", "--replicas", "10"], "at least 1"),
             (["tensor", "--schedule=-2,2", "--replicas", "10"], "at least 1"),
             (["tensor", "--schedule", "2", "--max-order", "0"], "max order"),
@@ -187,6 +196,17 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+def test_restrict_runs_on_corner_sizes_alone(tmp_path, capsys):
+    # an empty schedule is refused only when no corner size is left either
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schedule": [], "corner_sizes": [8]}))
+    assert main(["--out", str(tmp_path), "--config", str(path), "restrict",
+                 "--replicas", "16"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "restrict.csv", encoding="utf-8") as fh:
+        assert {r["n"] for r in csv.DictReader(fh)} == {"8"}
 
 
 def test_config_file_roundtrip(tmp_path, capsys):

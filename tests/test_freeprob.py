@@ -177,11 +177,8 @@ def test_convolution_matches_matrix_monte_carlo():
     spec_b = rmt.EnsembleSpec.fixed(eigs_b)
     bern = atomic_moments([(1, Fraction(1, 2)), (-1, Fraction(1, 2))], 6)
     target = free_convolve(bern, bern, 6)
-    values = np.empty((reps, 6))
-    for r in range(reps):
-        x = rmt.sum_independent(spec_a, spec_b, rmt.replica_rng(314, r))
-        eigs = rmt.eigenvalues(x)
-        values[r] = [np.mean(eigs ** k) for k in range(1, 7)]
+    values = rmt.trace_statistics((spec_a, spec_b), range(1, 7), reps,
+                                  314).values
     for i in range(6):
         se = values[:, i].std(ddof=1) / np.sqrt(reps)
         atol = 1e-9 * max(1.0, abs(float(target[i])))

@@ -185,6 +185,41 @@ def test_trace_statistics_thread_count_invariance(tmp_path):
     assert header == "n,eps,seed,spec"
 
 
+def test_power_traces_match_eigenvalue_powers():
+    # trace_statistics rows, from Frobenius products of matrix powers, equal
+    # the eigenvalue powers of the same draws up to round-off
+    powers = (4, 1, 8, 3, 2, 2, 7, 5, 6, 1)
+    fixed = EnsembleSpec.fixed((3, 1, 0, -1, -4), eps=Fraction(1, 2))
+    mixture = EnsembleSpec.mixture([((2, 0, -1, 1), Fraction(1, 3)),
+                                    ((1, 1, -2, 0), Fraction(2, 3))], eps=0.7)
+    other = EnsembleSpec.fixed((5, -1, -1, 0, 2))
+    cases = [(fixed, None, lambda rng: sample_matrix(fixed, rng)),
+             (mixture, None, lambda rng: sample_matrix(mixture, rng)),
+             ((fixed, other), None,
+              lambda rng: sum_independent(fixed, other, rng))]
+    cases += [(fixed, m, lambda rng, m=m: sample_matrix(fixed, rng, m))
+              for m in range(1, fixed.n + 1)]
+    for spec, m, draw in cases:
+        table = trace_statistics(spec, powers, replicas=6, seed=31, m=m)
+        assert table.values.shape == (6, len(powers))
+        for r in range(6):
+            eigs = eigenvalues(draw(replica_rng(31, r)))
+            norm = max(1.0, float(np.abs(eigs).max()))
+            for i, p in enumerate(powers):
+                want = np.mean(eigs ** p)
+                assert abs(table.values[r, i] - want) <= 1e-12 * norm ** p, \
+                    (spec, m, r, p)
+
+
+def test_non_finite_traces_and_matrices_refused():
+    huge = EnsembleSpec.fixed((1e200, 0, -1))
+    with pytest.raises(ValueError, match=r"tr X\^2 of replica 0 is not finite"):
+        trace_statistics(huge, (1, 2), replicas=5, seed=0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_weingarten_small_closed_forms():
     for n in (1, 3, 6):
         assert weingarten_table(1, n).of_type((1,)) == Fraction(1, n)
