@@ -6,12 +6,13 @@ the lattice operations and Mobius function of the partition lattice, the
 length functions, the partial product and partial order of partitioned
 permutations, conjugation, and exhaustive enumeration.
 
-All values are immutable and hashable, all operations are pure.
+All values are immutable and hashable, all operations are pure.  Values a
+type stores beside its fields (a permutation's cycles and inverse, a pair's
+length) are not fields: equality and hashing see the fields alone.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,14 +27,36 @@ ENUMERATION_LIMIT = 8
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation in one-line notation: ``images[i]`` is the image of i."""
+    """A permutation in one-line notation: ``images[i]`` is the image of i.
+
+    One cycle walk at construction refuses anything but a permutation of
+    0..k-1 and stores the cycles; ``inverse()`` is stored on first use.
+    Neither is a field: ``==`` and ``hash`` see only ``images``.
+    """
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        k = len(self.images)
-        if sorted(self.images) != list(range(k)):
-            raise ValueError(f"not a permutation of 0..{k - 1}: {self.images}")
+        images = self.images
+        k = len(images)
+        seen = [False] * k
+        cycles = []
+        for start in range(k):
+            if seen[start]:
+                continue
+            seen[start] = True
+            cyc = [start]
+            j = images[start]
+            # a repeated image ends some walk on an element already seen
+            while j != start:
+                if not 0 <= j < k or seen[j]:
+                    raise ValueError(f"not a permutation of 0..{k - 1}: {images}")
+                seen[j] = True
+                cyc.append(j)
+                j = images[j]
+            cycles.append(tuple(cyc))
+        object.__setattr__(self, "_cycles", tuple(cycles))
+        object.__setattr__(self, "_inverse", None)
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
@@ -49,6 +72,8 @@ class Permutation:
         images = list(range(k))
         seen: set[int] = set()
         for cyc in cycles:
+            if not cyc or not all(0 <= a < k for a in cyc):
+                raise ValueError(f"not a nonempty cycle in 0..{k - 1}: {cyc}")
             if seen & set(cyc):
                 raise ValueError("cycles are not disjoint")
             seen |= set(cyc)
@@ -65,37 +90,21 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(i) = p(q(i))."""
-        if self.size != other.size:
+        if len(self.images) != len(other.images):
             raise ValueError("ground-set mismatch")
-        return Permutation(tuple(self.images[j] for j in other.images))
+        return Permutation(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        if self._inverse is None:
+            inv = [0] * len(self.images)
+            for i, j in enumerate(self.images):
+                inv[j] = i
+            object.__setattr__(self, "_inverse", Permutation(tuple(inv)))
+        return self._inverse
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its minimum, sorted by minimum."""
         return self._cycles
-
-    @functools.cached_property
-    def _cycles(self) -> tuple[tuple[int, ...], ...]:
-        # once per instance; not a field, so == and hash see only images
-        out = []
-        seen = [False] * self.size
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return tuple(out)
 
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self._cycles), reverse=True))
@@ -105,11 +114,11 @@ class Permutation:
 
     def cycle_partition(self) -> "SetPartition":
         """The partition C(pi) whose blocks are the cycles."""
-        return SetPartition.from_blocks(self.size, self._cycles)
+        return SetPartition.from_blocks(len(self.images), self._cycles)
 
     def length(self) -> int:
         """k minus the number of cycles (minimal transposition count)."""
-        return self.size - self.num_cycles()
+        return len(self.images) - len(self._cycles)
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ class SetPartition:
 
     def __post_init__(self):
         for i, b in enumerate(self.block_of):
-            if b > i or self.block_of[b] != b:
+            if not 0 <= b <= i or self.block_of[b] != b:
                 raise ValueError(f"not in canonical form: {self.block_of}")
 
     @classmethod
@@ -177,13 +186,15 @@ class SetPartition:
 
     def join(self, other: "SetPartition") -> "SetPartition":
         """Least upper bound in the refinement order."""
-        if self.size != other.size:
+        if len(self.block_of) != len(other.block_of):
             raise ValueError("ground-set mismatch")
         # labels stay block minima: merging two groups keeps the smaller
         label = list(self.block_of)
         for i, b in enumerate(other.block_of):
-            lo, hi = sorted((label[i], label[b]))
+            lo, hi = label[i], label[b]
             if lo != hi:
+                if lo > hi:
+                    lo, hi = hi, lo
                 label = [lo if x == hi else x for x in label]
         return SetPartition(tuple(label))
 
@@ -280,10 +291,15 @@ class PartitionedPermutation:
     permutation: Permutation
 
     def __post_init__(self):
-        if self.partition.size != self.permutation.size:
+        block_of = self.partition.block_of
+        images = self.permutation.images
+        if len(block_of) != len(images):
             raise ValueError("ground-set mismatch")
-        if not self.permutation.cycle_partition().refines(self.partition):
+        # each cycle lies in one block iff every i shares a block with pi(i)
+        if any(block_of[i] != block_of[j] for i, j in enumerate(images)):
             raise ValueError("permutation cycles are not contained in blocks")
+        object.__setattr__(self, "_length", self.permutation.length() + 2 * (
+            self.permutation.num_cycles() - self.partition.num_blocks()))
 
     @classmethod
     def minimal(cls, perm: Permutation) -> "PartitionedPermutation":
@@ -296,8 +312,7 @@ class PartitionedPermutation:
 
     def length(self) -> int:
         """|pi| + 2 (#pi - #V)."""
-        return (self.permutation.length()
-                + 2 * (self.permutation.num_cycles() - self.partition.num_blocks()))
+        return self._length
 
 
 def product_pp(a: PartitionedPermutation,
@@ -316,7 +331,7 @@ def leq_pp(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
     """True iff a * (0, sigma) = b for sigma = pia^-1 pib.  Not transitive in
     general.  That product is (Va v C(sigma), pib), always a valid pair, so
     it is b iff Va v C(sigma) = Vb and the lengths add up."""
-    if a.size != b.size:
+    if len(a.permutation.images) != len(b.permutation.images):
         raise ValueError("ground-set mismatch")
     sigma = a.permutation.inverse() * b.permutation
     return (a.length() + sigma.length() == b.length()

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -89,6 +91,53 @@ def test_stored_cycles_match_a_cycle_walk():
             assert {fresh: 1}[p] == 1
 
 
+def test_one_walk_accepts_exactly_the_permutations():
+    # oracle: the sorted check the walk replaced, over every tuple of
+    # entries in -2..k+1 (negative, in range and out of range), k <= 4
+    for k in range(5):
+        for images in itertools.product(range(-2, k + 2), repeat=k):
+            if sorted(images) == list(range(k)):
+                assert Permutation(images).images == images
+            else:
+                with pytest.raises(ValueError, match="not a permutation"):
+                    Permutation(images)
+
+
+def test_from_cycles_refuses_empty_and_out_of_range_cycles():
+    for cycles in [((0, 5),), ((),), ((0, 1), ()), ((-1, 0),), ((3,),)]:
+        with pytest.raises(ValueError, match="not a nonempty cycle"):
+            Permutation.from_cycles(3, *cycles)
+
+
+def test_inverse_is_built_once_and_correct():
+    for k in range(1, 6):
+        e = Permutation.identity(k)
+        for images in itertools.permutations(range(k)):
+            p = Permutation(images)
+            inv = p.inverse()
+            assert inv.images == tuple(images.index(i) for i in range(k))
+            assert p * inv == e and inv * p == e
+            assert p.inverse() is inv
+
+
+def test_pickle_copy_equality_and_hash_ignore_stored_values():
+    for k in range(1, 5):
+        for vp in partitioned_permutations(k):
+            p = vp.permutation
+            p.inverse()
+            fresh_p = Permutation(p.images)
+            fresh_vp = PartitionedPermutation(vp.partition, fresh_p)
+            assert fresh_p == p and hash(fresh_p) == hash(p)
+            assert fresh_vp == vp and hash(fresh_vp) == hash(vp)
+            for copied in (pickle.loads(pickle.dumps(vp)), copy.deepcopy(vp)):
+                assert copied == vp and hash(copied) == hash(vp)
+                assert copied.length() == vp.length()
+                assert copied.permutation == p
+                assert hash(copied.permutation) == hash(p)
+                assert copied.permutation.cycles() == p.cycles()
+                assert copied.permutation.inverse() == p.inverse()
+
+
 def test_permutation_length():
     assert Permutation.identity(4).length() == 0
     assert Permutation.from_cycles(3, (0, 1, 2)).length() == 2
@@ -126,6 +175,12 @@ def test_lattice_operations():
     assert not a.refines(b)
     with pytest.raises(ValueError):
         a.join(SetPartition.discrete(4))
+
+
+def test_set_partition_refuses_labels_outside_zero_to_i():
+    for block_of in [(0, -1), (-1,), (0, 2, 2), (0, 0, -3)]:
+        with pytest.raises(ValueError, match="canonical form"):
+            SetPartition(block_of)
 
 
 def test_join_is_the_least_upper_bound():
@@ -186,6 +241,34 @@ def test_partitioned_permutation_validation_and_length():
     assert PartitionedPermutation(full2, swap).length() == 1
     with pytest.raises(ValueError):
         PartitionedPermutation(SetPartition.discrete(2), swap)
+
+
+def test_partitioned_permutation_refuses_exactly_the_non_refining_pairs():
+    # oracle: C(pi) refines V, the check the blockwise test replaced
+    for k in range(1, 5):
+        for v in set_partitions(k):
+            for images in itertools.permutations(range(k)):
+                p = Permutation(images)
+                if p.cycle_partition().refines(v):
+                    assert PartitionedPermutation(v, p).partition == v
+                else:
+                    with pytest.raises(ValueError, match="not contained"):
+                        PartitionedPermutation(v, p)
+
+
+def test_stored_length_matches_the_formula():
+    for k in range(1, 6):
+        for vp in partitioned_permutations(k):
+            images, seen, cycles = vp.permutation.images, set(), 0
+            for start in range(k):
+                if start not in seen:
+                    cycles += 1
+                    j = start
+                    while j not in seen:
+                        seen.add(j)
+                        j = images[j]
+            blocks = len(set(vp.partition.block_of))
+            assert vp.length() == (k - cycles) + 2 * (cycles - blocks)
 
 
 def test_length_pp_dominates_permutation_length():
