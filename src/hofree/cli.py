@@ -277,7 +277,8 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    config = _load_config(args, schedule=(4, 6, 8))
+    config = _load_config(args, schedule=(4, 6, 8),
+                          amplitude=experiments.RESTRICTION_AMPLITUDE)
     rows = experiments.restriction_experiment(config)
     header = ["n", "m", "k", "branch_mean", "compress_target",
               "corner_mc_mean", "corner_mc_se", "rel_gap", "note"]

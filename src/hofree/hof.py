@@ -169,7 +169,7 @@ def verify_trace_cumulant_identity(spec: rmt.EnsembleSpec,
 def scaling_exponent(vp: PartitionedPermutation, gamma: Permutation) -> int:
     """|(0, gamma pi^-1)| + |(V,pi)| - |(1, gamma)|; nonnegative, and zero
     exactly when (V,pi) <= (1, gamma)."""
-    if vp.size != gamma.size:
+    if len(vp.permutation.images) != len(gamma.images):
         raise ValueError("ground-set mismatch")
     top_length = gamma.length() + 2 * (gamma.num_cycles() - 1)
     step = (gamma * vp.permutation.inverse()).length()

@@ -38,6 +38,9 @@ class Permutation:
 
     def __post_init__(self):
         images = self.images
+        if not isinstance(images, tuple):
+            images = tuple(images)
+            object.__setattr__(self, "images", images)
         k = len(images)
         seen = [False] * k
         cycles = []
@@ -132,6 +135,8 @@ class SetPartition:
     block_of: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.block_of, tuple):
+            object.__setattr__(self, "block_of", tuple(self.block_of))
         for i, b in enumerate(self.block_of):
             if not 0 <= b <= i or self.block_of[b] != b:
                 raise ValueError(f"not in canonical form: {self.block_of}")
@@ -427,11 +432,12 @@ def partitioned_permutations(k: int) -> Iterator[PartitionedPermutation]:
             f"enumeration of partitioned permutations is limited to "
             f"k <= {ENUMERATION_LIMIT}; got k = {k}")
     for v in set_partitions(k):
+        blocks = v.blocks()
         perms = []
         for choice in itertools.product(
-                *(itertools.permutations(blk) for blk in v.blocks())):
+                *(itertools.permutations(blk) for blk in blocks)):
             images = [0] * k
-            for blk, perm_blk in zip(v.blocks(), choice):
+            for blk, perm_blk in zip(blocks, choice):
                 for src, dst in zip(blk, perm_blk):
                     images[src] = dst
             perms.append(tuple(images))

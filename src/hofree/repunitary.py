@@ -6,8 +6,10 @@ only at API boundaries.  The module computes Weyl dimensions, the uniform
 ("naive") and weighted ("natural") spectral measures, the triangular
 conversion between their moments, tensor-product decompositions
 (Littlewood-Richardson and the one-row Pieri special case), restriction to
-smaller unitary groups, and exact statistics of the probability distribution
-that weights each irreducible component by multiplicity times dimension.
+smaller unitary groups (interlacing chains counted by composing one-step
+branchings at small weights; branch means at any weight interpolated from
+those), and exact statistics of the probability distribution that weights
+each irreducible component by multiplicity times dimension.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, gcd, prod
 from typing import Sequence
 
 from .cumulants import MomentTable, moments_to_cumulants
 from .errors import GuardError, InvariantError
+from .partperm import integer_partitions
 
 LR_MAX_RANK = 8
 LR_MAX_CELLS = 40
@@ -35,6 +39,8 @@ class ShiftedWeight:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.entries, tuple):
+            object.__setattr__(self, "entries", tuple(self.entries))
         if any(a <= b for a, b in zip(self.entries, self.entries[1:])):
             raise ValueError(f"entries must be strictly decreasing: {self.entries}")
 
@@ -402,82 +408,36 @@ def pieri_decompose(lam: Sequence[int], row: int, n: int) -> WeightedDecompositi
 
 # -- restriction to U(m) ------------------------------------------------------
 
-def _integer_determinant(mat: list[list[int]]) -> int:
-    # Bareiss fraction-free elimination
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def interlacing_chain_count(lam: Sequence[int], target: Sequence[int]) -> int:
-    """Number of chains of interlacing weights from lam (n entries) down to
-    target (m entries), i.e. column-strict skew fillings of lam/target with
-    n - m letters; computed by the Lindstrom-Gessel-Viennot determinant."""
-    n, m = len(lam), len(target)
-    steps = n - m
-    if steps < 0:
-        raise ValueError("target must have fewer rows")
-    padded = list(target) + [lam[-1]] * steps   # pad at the ambient minimum
-
-    def h(d):
-        if d < 0:
-            return 0
-        return comb(d + steps - 1, d) if steps > 0 else int(d == 0)
-
-    mat = [[h(lam[i] - padded[j] - i + j) for j in range(n)] for i in range(n)]
-    return _integer_determinant(mat)
-
-
-def _restriction_support(lam: Sequence[int], m: int):
-    """Weights of U(m) reachable from lam by iterated interlacing, with their
-    chain-count-times-dimension weights, in DFS order."""
-    n = len(lam)
-    steps = n - m
-
-    def rec(i, current):
-        if i == m:
-            count = interlacing_chain_count(lam, current)
-            if count:
-                w = ShiftedWeight.from_highest_weight(tuple(current))
-                yield w, count * weyl_dimension(w)
-            return
-        lo, hi = lam[i + steps], lam[i]
-        if current:
-            hi = min(hi, current[-1])
-        for v in range(hi, lo - 1, -1):
-            current.append(v)
-            yield from rec(i + 1, current)
-            current.pop()
-
-    yield from rec(0, [])
+def _chain_counts(entries: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
+    """Number of chains of interlacing shifted weights from entries down to
+    each shifted U(m) weight, by composing one-step branchings: one step from
+    l reaches each v in the box prod_i [l_{i+1}, l_i) once.  The box grows
+    with the gaps of l, so this is meant for small weights."""
+    counts = {entries: 1}
+    for _ in range(len(entries) - m):
+        step: dict[tuple[int, ...], int] = {}
+        for l, c in counts.items():
+            for v in product(*map(range, l[1:], l[:-1])):
+                step[v] = step.get(v, 0) + c
+        counts = step
+    return counts
 
 
 def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction]]:
     """Restriction to U(m) (1 <= m < n): the composition of one-step
-    branchings; probabilities are chain-count times dimension over dim."""
+    branchings, weights in descending order; probabilities are chain-count
+    times dimension over dim.  Its cost grows with the product of the gaps of
+    l, so it is meant for small weights; no code in the package calls it
+    (`restriction_mean_moments` gives the branch means at any weight)."""
     n = l.n
     if not 1 <= m < n:
         raise ValueError(f"target rank must satisfy 1 <= m < {n}")
     dim_l = weyl_dimension(l)
     out = []
     total = 0
-    for w, weight in _restriction_support(l.highest_weight(), m):
+    for v, count in sorted(_chain_counts(l.entries, m).items(), reverse=True):
+        w = ShiftedWeight(v)
+        weight = count * weyl_dimension(w)
         total += weight
         out.append((w, Fraction(weight, dim_l)))
     if total != dim_l:
@@ -544,16 +504,16 @@ def restriction_mean_moments(l: ShiftedWeight, m: int, orders: Sequence[int],
 def _sample_row(entries: tuple[int, ...], m: int, orders: tuple[int, ...],
                 basis_row: list[int]) -> list[int]:
     """[dim * e_mu | dim * E p_k(u) | 0] at one sample weight, u the shifted
-    weight of a random U(m) component, by enumerating the restriction
-    support."""
-    l = ShiftedWeight(entries)
+    weight of a random U(m) component, by counting interlacing chains."""
     sums = [0] * len(orders)
     total = 0
-    for w, weight in _restriction_support(l.highest_weight(), m):
+    for v, count in _chain_counts(entries, m).items():
+        w = ShiftedWeight(v)
+        weight = count * weyl_dimension(w)
         total += weight
         for a, k in enumerate(orders):
             sums[a] += weight * w.power_sum(k)
-    if total != weyl_dimension(l):
+    if total != weyl_dimension(ShiftedWeight(entries)):
         raise InvariantError(f"restriction weights of {entries} do not sum "
                              f"to the dimension")
     return [total * x for x in basis_row] + sums + [0]
@@ -564,12 +524,8 @@ def _elementary_basis(n: int, degree: int) -> list[tuple[int, ...]]:
     of elementary symmetric polynomials form a basis of the symmetric
     polynomials of degree <= degree in n variables; power sums p_mu do not,
     as they become linearly dependent once n < |mu|."""
-    def parts(rest, cap):
-        yield ()
-        for first in range(min(rest, cap), 0, -1):
-            for tail in parts(rest - first, first):
-                yield (first,) + tail
-    return list(parts(degree, n))
+    return [mu for k in range(degree + 1) for mu in integer_partitions(k)
+            if max(mu, default=0) <= n]
 
 
 def _elementary_row(entries: Sequence[int], basis, degree: int) -> list[int]:

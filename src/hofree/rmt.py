@@ -71,6 +71,8 @@ class EnsembleSpec:
             raise ValueError("spectrum mixture is empty")
         if any(len(eigs) != self.n for eigs, _ in self.atoms):
             raise ValueError("every spectrum atom needs exactly n eigenvalues")
+        if any(p < 0 for _, p in self.atoms):
+            raise ValueError("mixture probabilities must be nonnegative")
         if sum(p for _, p in self.atoms) != 1:
             raise ValueError("mixture probabilities must sum to one")
 

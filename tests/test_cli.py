@@ -4,6 +4,7 @@ import os
 
 
 from hofree.cli import main, write_histogram_svg
+from hofree.experiments import RESTRICTION_AMPLITUDE, TENSOR_BULK_AMPLITUDE
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +197,28 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+def test_restrict_defaults_to_the_restriction_amplitude(tmp_path, capsys):
+    # the restriction profile's amplitude, not the tensor profile's; a flag
+    # or a config file still overrides it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"amplitude": TENSOR_BULK_AMPLITUDE}))
+    base = ["restrict", "--schedule", "3", "--alpha", "2/3",
+            "--corner-sizes", "6", "--max-order", "2", "--replicas", "16"]
+    runs = {"default": base,
+            "restriction": [*base, "--amplitude", str(RESTRICTION_AMPLITUDE)],
+            "tensor": [*base, "--amplitude", str(TENSOR_BULK_AMPLITUDE)],
+            "config": ["--config", str(config), *base]}
+    outputs = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["--seed", "3", "--out", str(out), *argv]) == 0
+        outputs[name] = [(out / f).read_bytes()
+                         for f in ("restrict.csv", "restrict_exact.json")]
+    capsys.readouterr()
+    assert outputs["default"] == outputs["restriction"] != outputs["tensor"]
+    assert outputs["config"] == outputs["tensor"]
 
 
 def test_restrict_runs_on_corner_sizes_alone(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hofree.partperm import (
     product_pp,
     set_partitions,
 )
+from hofree.repunitary import ShiftedWeight, weyl_dimension
 
 
 def brute_force_pp_count(k):
@@ -395,3 +396,15 @@ def test_enumeration_is_deterministic_unique_and_guarded():
     assert keys == sorted(keys)
     with pytest.raises(GuardError):
         next(partitioned_permutations(ENUMERATION_LIMIT + 1))
+
+
+def test_value_types_built_from_lists_store_tuples():
+    # a list input is stored as a tuple, so the value is hashable and equal
+    # to the one built from a tuple
+    for value, tupled, field in (
+            (Permutation([1, 0]), Permutation((1, 0)), "images"),
+            (SetPartition([0, 0]), SetPartition((0, 0)), "block_of"),
+            (ShiftedWeight([3, 1, 0]), ShiftedWeight((3, 1, 0)), "entries")):
+        assert isinstance(getattr(value, field), tuple)
+        assert value == tupled and hash(value) == hash(tupled)
+    assert weyl_dimension(ShiftedWeight([3, 1, 0])) == 3

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from hofree.repunitary import (
     ShiftedWeight,
     WeightedDecomposition,
     branch_chain,
-    interlacing_chain_count,
     lr_tensor_decompose,
     naive_spectral_measure,
     naive_to_natural_moments,
@@ -76,6 +75,49 @@ def det_fraction(mat):
             for cc in range(c, n):
                 mat[r][cc] -= f * mat[c][cc]
     return out
+
+
+def interlacing_chain_count(lam, target):
+    # chains of interlacing weights from lam down to target, i.e.
+    # column-strict skew fillings of lam/target with n - m letters, by the
+    # Lindstrom-Gessel-Viennot determinant of complete homogeneous counts
+    n, m = len(lam), len(target)
+    steps = n - m
+    padded = list(target) + [lam[-1]] * steps   # pad at the ambient minimum
+
+    def h(d):
+        if d < 0:
+            return 0
+        return comb(d + steps - 1, d) if steps > 0 else int(d == 0)
+
+    mat = [[h(lam[i] - padded[j] - i + j) for j in range(n)] for i in range(n)]
+    det = det_fraction(mat)
+    assert det.denominator == 1
+    return det.numerator
+
+
+def restriction_support_oracle(lam, m):
+    # U(m) weights reachable from lam by interlacing, descending, each with
+    # chain count times dimension: a DFS over targets, one LGV count each
+    n = len(lam)
+    steps = n - m
+
+    def rec(i, current):
+        if i == m:
+            count = interlacing_chain_count(lam, current)
+            if count:
+                w = ShiftedWeight.from_highest_weight(tuple(current))
+                yield w, count * weyl_dimension(w)
+            return
+        lo, hi = lam[i + steps], lam[i]
+        if current:
+            hi = min(hi, current[-1])
+        for v in range(hi, lo - 1, -1):
+            current.append(v)
+            yield from rec(i + 1, current)
+            current.pop()
+
+    yield from rec(0, [])
 
 
 def schur_value(shifted, xs):
@@ -418,11 +460,26 @@ def test_branch_chain_range_validation():
         branch_chain(sw(2, 0), 0)
 
 
+def test_branch_chain_matches_lgv_oracle():
+    # composed one-step branching against the LGV support enumeration,
+    # order included
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        lam = random_weight(rng, n, lo=-4, hi=6)
+        l = ShiftedWeight.from_highest_weight(lam)
+        dim_l = weyl_dimension(l)
+        for m in range(1, n):
+            expected = [(w, Fraction(weight, dim_l))
+                        for w, weight in restriction_support_oracle(lam, m)]
+            assert branch_chain(l, m) == expected, (lam, m)
+
+
 def test_branch_chain_total_is_checked_without_assert(monkeypatch):
     # a lost component must raise, also under python -O
-    support = repunitary._restriction_support
-    monkeypatch.setattr(repunitary, "_restriction_support",
-                        lambda lam, m: list(support(lam, m))[1:])
+    counts = repunitary._chain_counts
+    monkeypatch.setattr(repunitary, "_chain_counts", lambda entries, m: dict(
+        list(counts(entries, m).items())[1:]))
     with pytest.raises(InvariantError):
         branch_chain(ShiftedWeight.from_highest_weight((2, 1, 0)), 1)
 
@@ -433,7 +490,7 @@ def enumerated_restriction_means(l, m, orders):
     # the support enumeration the interpolation replaces
     total = 0
     sums = [0] * len(orders)
-    for w, weight in repunitary._restriction_support(l.highest_weight(), m):
+    for w, weight in restriction_support_oracle(l.highest_weight(), m):
         total += weight
         for a, k in enumerate(orders):
             sums[a] += weight * w.power_sum(k)

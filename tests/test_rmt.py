@@ -47,6 +47,10 @@ def test_ensemble_spec_validation():
         EnsembleSpec(n=3, atoms=(((1, 0), Fraction(1)),))
     with pytest.raises(ValueError, match="empty"):
         EnsembleSpec.mixture([])
+    # a signed mixture summing to one is not a law to draw from
+    with pytest.raises(ValueError, match="nonnegative"):
+        EnsembleSpec.mixture([((1, 0), Fraction(3, 2)),
+                              ((0, 1), Fraction(-1, 2))])
     spec = EnsembleSpec.fixed((3, 1, 0), eps=Fraction(1, 2))
     assert spec.n == 3
     assert spec.atom_power_sum(0, 2) == 10
