@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd, prod
+from numbers import Integral
 from typing import Sequence
 
 from .cumulants import MomentTable, moments_to_cumulants
@@ -41,6 +42,8 @@ class ShiftedWeight:
     def __post_init__(self):
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
+        if not all(isinstance(x, Integral) for x in self.entries):
+            raise ValueError(f"entries must be integers: {self.entries}")
         if any(a <= b for a, b in zip(self.entries, self.entries[1:])):
             raise ValueError(f"entries must be strictly decreasing: {self.entries}")
 
@@ -265,29 +268,6 @@ class WeightedDecomposition:
         total = self.total_dimension()
         return [(l, Fraction(m * weyl_dimension(l), total))
                 for l, m in self.components]
-
-
-def sample_component(d: WeightedDecomposition, rng) -> ShiftedWeight:
-    """Exact inverse-CDF draw in the deterministic component order."""
-    total = d.total_dimension()
-    t = _uniform_below(rng, total)
-    acc = 0
-    for l, m in d.components:
-        acc += m * weyl_dimension(l)
-        if t < acc:
-            return l
-    raise InvariantError("component weights do not sum to the total dimension")
-
-
-def _uniform_below(rng, bound: int) -> int:
-    # unbiased big-integer uniform draw via rejection on raw bits
-    nbits = bound.bit_length()
-    nbytes = (nbits + 7) // 8
-    excess = nbytes * 8 - nbits
-    while True:
-        t = int.from_bytes(rng.bytes(nbytes), "big") >> excess
-        if t < bound:
-            return t
 
 
 # -- tensor products ----------------------------------------------------------

@@ -5,9 +5,9 @@ sums, corners, per-replica trace tables) runs in 64-bit complex floating
 point; the Weingarten oracle for exact Haar integrals of products of matrix
 entries runs entirely in rational arithmetic.  The two regimes never mix.
 
-A replica's normalized traces tr X^p come from Frobenius products of matrix
-powers (`power_traces`), with no eigensolve; `eigenvalues`, with its residual
-check, serves the histogram and the tests.
+A replica's normalized traces tr X^p come from products of matrix powers
+with no eigensolve (`power_traces`), a corner's from a similar matrix with no
+QR (`corner_traces`); `eigenvalues` serves the histogram and the tests.
 
 Replica r of a run with master seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are reproducible and independent of any
@@ -41,6 +41,13 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _ginibre(n: int, rng, m: int) -> np.ndarray:
+    """n-by-m complex normals, real parts first, for 1 <= m <= n."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n; got n = {n} and m = {m}")
+    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
 def haar_unitary(n: int, rng: np.random.Generator,
                  m: int | None = None) -> np.ndarray:
     """Exactly Haar-distributed unitary: QR of a complex Ginibre matrix with
@@ -48,9 +55,7 @@ def haar_unitary(n: int, rng: np.random.Generator,
     first m columns, an n-by-m isometry, from the thin QR of an n-by-m
     Ginibre matrix."""
     m = n if m is None else m
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n; got n = {n} and m = {m}")
-    z = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    z = _ginibre(n, rng, m)
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -149,12 +154,13 @@ def eigenvalues(x) -> np.ndarray:
     return vals
 
 
-def power_traces(x, powers: Sequence[int]) -> np.ndarray:
-    """Normalized traces tr X^p = (1/m) Tr X^p of a Hermitian m-by-m X, one
-    per entry of `powers`, with no eigensolve: Tr X^p is the Frobenius
-    product <X^a, X^b> with a = floor(p/2) and b = ceil(p/2), exact for
-    Hermitian X, and tr X is read from the diagonal.  Up to the largest
-    power P this forms X^2, ..., X^ceil(P/2): one product for P <= 4.
+def power_traces(x, powers: Sequence[int],
+                 trace_of_product=np.vdot) -> np.ndarray:
+    """Normalized traces tr X^p = (1/m) Tr X^p of an m-by-m X, one per entry
+    of `powers`, with no eigensolve: Tr X^p = trace_of_product(X^a, X^b),
+    a = floor(p/2), b = ceil(p/2), and tr X from the diagonal.  The default
+    Frobenius product Tr A*B is exact for Hermitian X; others need Tr AB.
+    Up to the largest power P it forms X^2, ..., X^ceil(P/2): one for P <= 4.
 
     >>> power_traces(np.diag([2.0, -1.0, 0.0]), (3, 1, 2, 2))
     array([2.33333333, 0.33333333, 1.66666667, 1.66666667])
@@ -165,8 +171,21 @@ def power_traces(x, powers: Sequence[int]) -> np.ndarray:
     for _ in range((max(powers) + 1) // 2 - 1):
         power.append(power[-1] @ x)
     return np.array([(x.trace() if p == 1
-                      else np.vdot(power[p // 2], power[p - p // 2])).real / m
-                     for p in powers])
+                      else trace_of_product(power[p // 2], power[p - p // 2])
+                      ).real / m for p in powers])
+
+
+def corner_traces(spec: EnsembleSpec, rng, m: int, powers) -> np.ndarray:
+    """`power_traces(sample_matrix(spec, rng, m), powers)` up to round-off,
+    from the same draws and with no QR: the corner W*DW, D = diag(eps l) and
+    Z = WR the Ginibre draw's thin QR, is similar to Y = (Z*Z)^-1 Z*DZ."""
+    eigs = float(spec.eps) * _draw_atom(spec, rng)
+    z = _ginibre(spec.n, rng, m)
+    zh = z.conj().T
+    gram, t = zh @ z, (zh * eigs) @ z
+    del z, zh               # keeps n-by-m arrays out of the solve's peak memory
+    y = np.linalg.solve(gram, t)
+    return power_traces(y, powers, lambda a, b: np.einsum("ij,ji->", a, b))
 
 
 def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:
@@ -224,8 +243,8 @@ class TraceTable:
 def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
                      threads: int = 1, m: int | None = None) -> TraceTable:
     """Monte-Carlo table of normalized traces of X, or of its leading m-by-m
-    corner; `spec` is an EnsembleSpec or a pair of them (summed
-    independently, and then without a corner)."""
+    corner (by `corner_traces` for m < n); `spec` is an EnsembleSpec or a
+    pair of them (summed independently, and then without a corner)."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     powers = tuple(powers)
@@ -234,18 +253,19 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
     if isinstance(spec, EnsembleSpec):
         first, label = spec, spec.spec_hash()
 
-        def draw(rng):
-            return sample_matrix(spec, rng, m)
+        def traces(rng):
+            if m is None or m == spec.n:
+                return power_traces(sample_matrix(spec, rng), powers)
+            return corner_traces(spec, rng, m, powers)
     else:
         if m is not None:
             raise ValueError("corners of sums are not sampled")
         first, label = spec[0], "+".join(s.spec_hash() for s in spec)
 
-        def draw(rng):
-            return sum_independent(*spec, rng)
+        def traces(rng):
+            return power_traces(sum_independent(*spec, rng), powers)
 
-    values = map_replicas(lambda rng: power_traces(draw(rng), powers),
-                          replicas, seed, threads)
+    values = map_replicas(traces, replicas, seed, threads)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, i = bad[0]

@@ -334,11 +334,8 @@ def test_criterion_08_restriction_vs_compression():
         target = free_compress([float(x) * eps ** k for k, x in
                                 enumerate(naive_moments_of_weight(l, 4), 1)],
                                0.5)
-        values = np.empty((reps, 4))
-        for r in range(reps):
-            x = rmt.sample_matrix(spec, rmt.replica_rng(2024, r), n // 2)
-            eigs = rmt.eigenvalues(x)
-            values[r] = [np.mean(eigs ** k) for k in ORDERS]
+        values = rmt.trace_statistics(spec, ORDERS, reps, 2024,
+                                      m=n // 2).values
         if n == 256:
             for i in range(4):
                 se = values[:, i].std(ddof=1) / np.sqrt(reps)

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from math import comb, prod
 
-import numpy as np
 import pytest
 
 from hofree import repunitary
@@ -23,7 +22,6 @@ from hofree.repunitary import (
     pieri_decompose,
     pushforward_stats,
     restriction_mean_moments,
-    sample_component,
     weyl_dimension,
     zelobenko_weights,
 )
@@ -146,6 +144,9 @@ def test_shift_roundtrip_and_examples():
         ShiftedWeight.from_highest_weight((0, 1))
     with pytest.raises(ValueError):
         ShiftedWeight((1, 1))
+    for entries in ((2.5, 0.5), (2.0, 0), (Fraction(3), 1)):
+        with pytest.raises(ValueError, match="integers"):
+            ShiftedWeight(entries)
 
 
 def test_weyl_dimension_small():
@@ -367,26 +368,6 @@ def test_distribution_examples():
     assert dist3[ShiftedWeight.from_highest_weight((1, 1, 0))] == Fraction(3, 9)
     single = WeightedDecomposition.from_dict(2, {sw(4, 1): 3})
     assert single.distribution() == [(sw(4, 1), Fraction(1))]
-
-
-def test_sample_component():
-    single = WeightedDecomposition.from_dict(2, {sw(4, 1): 2})
-    rng = np.random.default_rng(0)
-    assert all(sample_component(single, rng) == sw(4, 1) for _ in range(10))
-
-    d = lr_tensor_decompose((1, 0), (1, 0), 2)
-    draws = 100_000
-    rng = np.random.default_rng(42)
-    hits = sum(sample_component(d, rng) == sw(3, 0) for _ in range(draws))
-    p = 0.75
-    sigma = (draws * p * (1 - p)) ** 0.5
-    assert abs(hits - draws * p) <= 3 * sigma
-
-    r1 = np.random.default_rng(7)
-    r2 = np.random.default_rng(7)
-    seq1 = [sample_component(d, r1) for _ in range(50)]
-    seq2 = [sample_component(d, r2) for _ in range(50)]
-    assert seq1 == seq2
 
 
 # -- branching -----------------------------------------------------------------

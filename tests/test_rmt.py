@@ -122,6 +122,8 @@ def test_corner():
     for m in (0, 6, -1):
         with pytest.raises(ValueError):
             sample_matrix(spec, replica_rng(4, 0), m)
+        with pytest.raises(ValueError):
+            trace_statistics(spec, (1,), replicas=2, seed=0, m=m)
     with pytest.raises(ValueError, match="corners of sums"):
         trace_statistics((spec, spec), (1,), replicas=2, seed=0, m=2)
 
@@ -142,6 +144,9 @@ def test_full_draw_is_the_conjugation_formula():
         x = (x + x.conj().T) / 2
         assert np.array_equal(sample_matrix(spec, replica_rng(12, r)), x)
         assert np.array_equal(sample_matrix(spec, replica_rng(12, r), 4), x)
+    assert np.array_equal(
+        trace_statistics(spec, (1, 2, 3), replicas=5, seed=12, m=4).values,
+        trace_statistics(spec, (1, 2, 3), replicas=5, seed=12).values)
 
 
 def test_corner_entry_moments_match_weingarten():
@@ -190,23 +195,29 @@ def test_trace_statistics_thread_count_invariance(tmp_path):
 
 
 def test_power_traces_match_eigenvalue_powers():
-    # trace_statistics rows, from Frobenius products of matrix powers, equal
-    # the eigenvalue powers of the same draws up to round-off
+    # trace_statistics rows, from Frobenius products of matrix powers (and,
+    # for a corner m < n, of the QR-free similar matrix), equal the
+    # eigenvalue powers of the same draws up to round-off
     powers = (4, 1, 8, 3, 2, 2, 7, 5, 6, 1)
     fixed = EnsembleSpec.fixed((3, 1, 0, -1, -4), eps=Fraction(1, 2))
     mixture = EnsembleSpec.mixture([((2, 0, -1, 1), Fraction(1, 3)),
                                     ((1, 1, -2, 0), Fraction(2, 3))], eps=0.7)
     other = EnsembleSpec.fixed((5, -1, -1, 0, 2))
-    cases = [(fixed, None, lambda rng: sample_matrix(fixed, rng)),
-             (mixture, None, lambda rng: sample_matrix(mixture, rng)),
-             ((fixed, other), None,
-              lambda rng: sum_independent(fixed, other, rng))]
-    cases += [(fixed, m, lambda rng, m=m: sample_matrix(fixed, rng, m))
-              for m in range(1, fixed.n + 1)]
-    for spec, m, draw in cases:
-        table = trace_statistics(spec, powers, replicas=6, seed=31, m=m)
-        assert table.values.shape == (6, len(powers))
-        for r in range(6):
+    large = EnsembleSpec.mixture([(range(32, -32, -1), Fraction(1, 2)),
+                                  (range(-20, 44), Fraction(1, 2))],
+                                 eps=Fraction(1, 16))
+    cases = [(fixed, None, 6, lambda rng: sample_matrix(fixed, rng)),
+             (mixture, None, 6, lambda rng: sample_matrix(mixture, rng)),
+             ((fixed, other), None, 6,
+              lambda rng: sum_independent(fixed, other, rng)),
+             (large, 63, 2, lambda rng: sample_matrix(large, rng, 63))]
+    cases += [(spec, m, 6, lambda rng, spec=spec, m=m:
+               sample_matrix(spec, rng, m))
+              for spec in (fixed, mixture) for m in range(1, spec.n + 1)]
+    for spec, m, reps, draw in cases:
+        table = trace_statistics(spec, powers, replicas=reps, seed=31, m=m)
+        assert table.values.shape == (reps, len(powers))
+        for r in range(reps):
             eigs = eigenvalues(draw(replica_rng(31, r)))
             norm = max(1.0, float(np.abs(eigs).max()))
             for i, p in enumerate(powers):
@@ -219,6 +230,8 @@ def test_non_finite_traces_and_matrices_refused():
     huge = EnsembleSpec.fixed((1e200, 0, -1))
     with pytest.raises(ValueError, match=r"tr X\^2 of replica 0 is not finite"):
         trace_statistics(huge, (1, 2), replicas=5, seed=0)
+    with pytest.raises(ValueError, match=r"tr X\^2 of replica 0 is not finite"):
+        trace_statistics(huge, (1, 2), replicas=5, seed=0, m=2)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite"):
             eigenvalues(np.array([[1.0, 0.0], [0.0, bad]]))
