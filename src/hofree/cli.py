@@ -6,8 +6,7 @@ keys), --threads.  Exit codes: 0 success, 2 validation error, 3 guard refusal.
 
 Every command is a pure function of (config, seed): identical inputs produce
 byte-identical outputs.  CSV files are UTF-8 with a header row and RFC-4180
-quoting; exact rationals are archived as "p/q" strings in JSON sidecars; SVG
-histograms are static with the bin count fixed by the Sturges rule.
+quoting; exact rationals are archived as "p/q" strings in JSON sidecars.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -63,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="master RNG seed (default: the config's, else 1)")
     parser.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory for CSV/JSON/SVG files")
+                        help="output directory for CSV/JSON files")
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file; command-line flags override it")
     parser.add_argument("--threads", type=int, default=1,
@@ -107,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction, default=Fraction(1))
     p.add_argument("--powers", type=_int_list, default=(1, 2))
     p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--svg", action="store_true",
-                   help="also write an eigenvalue histogram")
 
     p = sub.add_parser("freeconv", help="free convolution / compression of "
                                         "moment sequences")
@@ -198,37 +194,6 @@ def _cell(value):
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def write_histogram_svg(path: Path, samples, width=640, height=400) -> None:
-    """Static SVG histogram; bin count by the Sturges rule."""
-    samples = sorted(float(x) for x in samples)
-    n = len(samples)
-    bins = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
-    lo, hi = samples[0], samples[-1]
-    span = (hi - lo) or 1.0
-    counts = [0] * bins
-    for x in samples:
-        idx = min(int((x - lo) / span * bins), bins - 1)
-        counts[idx] += 1
-    peak = max(counts)
-    margin = 40
-    bar_w = (width - 2 * margin) / bins
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
-    for i, c in enumerate(counts):
-        bar_h = (height - 2 * margin) * c / peak
-        x = margin + i * bar_w
-        y = height - margin - bar_h
-        parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-                     f'height="{bar_h:.2f}" fill="#4878a8" stroke="white"/>')
-    parts.append(f'<text x="{margin}" y="{height - 10}" font-size="12">'
-                 f'{lo:.6g}</text>')
-    parts.append(f'<text x="{width - margin}" y="{height - 10}" '
-                 f'font-size="12" text-anchor="end">{hi:.6g}</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
 def cmd_spectral(args) -> int:
@@ -329,11 +294,6 @@ def cmd_simulate(args) -> int:
             "third_se": float(est_third.stderr),
         })
     _write_json(args.out / "summary.json", summary)
-    if args.svg:
-        eigs = rmt.map_replicas(
-            lambda rng: rmt.eigenvalues(rmt.sample_matrix(spec, rng)),
-            min(replicas, 64), seed, config.threads)
-        write_histogram_svg(args.out / "eigenvalues.svg", eigs.ravel())
     print(f"wrote {args.out / 'traces.csv'} ({replicas} replicas)")
     return 0
 

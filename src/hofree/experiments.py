@@ -111,7 +111,7 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
         row = row_profile(n, config.row_amplitude)
         eps = config.eps(n)
         decomposition = pieri_decompose(lam, row, n)
-        stats = pushforward_stats(decomposition, 1, orders)
+        stats = pushforward_stats(decomposition, orders)
         la = ShiftedWeight.from_highest_weight(lam)
         lb = ShiftedWeight.from_highest_weight((row,) + (0,) * (n - 1))
         target = free_convolve(naive_moments_of_weight(la, config.max_order),

@@ -8,8 +8,9 @@ conversion between their moments, tensor-product decompositions
 (Littlewood-Richardson and the one-row Pieri special case), restriction to
 smaller unitary groups (interlacing chains counted by composing one-step
 branchings at small weights; branch means at any weight interpolated from
-those), and exact statistics of the probability distribution that weights
-each irreducible component by multiplicity times dimension.
+those), and the exact mean and covariance of the naive-measure moments of a
+component drawn with probability multiplicity times dimension over the total
+dimension.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from math import comb, gcd, prod
 from numbers import Integral
 from typing import Sequence
 
-from .cumulants import MomentTable, moments_to_cumulants
 from .errors import GuardError, InvariantError
 from .partperm import integer_partitions
 
@@ -565,84 +565,41 @@ def _sample_weights(n: int, degree: int):
 
 @dataclass(frozen=True)
 class PushforwardStats:
-    """Exact mean, covariance and third joint cumulants of spectral-measure
-    moments of a random irreducible component."""
+    """Exact mean and covariance of the naive spectral-measure moments of a
+    random irreducible component, one entry per order."""
 
     orders: tuple[int, ...]
     mean: tuple
     cov: tuple
-    third: dict
-
-    def variance(self, order: int):
-        i = self.orders.index(order)
-        return self.cov[i][i]
 
 
-def _component_moment_numerators(l: ShiftedWeight, orders, which):
-    # returns integers u_k with moment m_k = u_k / n
-    if which == "naive":
-        return [l.power_sum(k) for k in orders]
-    if which == "natural":
-        vals = []
-        for k in orders:
-            v = natural_moment_via_matrix(l, k) * l.n
-            if v.denominator != 1:
-                raise InvariantError(f"natural moment numerator of "
-                                     f"{l.entries} is not an integer")
-            vals.append(v.numerator)
-        return vals
-    raise ValueError("measure kind must be 'naive' or 'natural'")
-
-
-def pushforward_stats(d: WeightedDecomposition, eps, orders: Sequence[int],
-                      which: str = "naive") -> PushforwardStats:
-    """Exact joint cumulants (to third order) of the moments of the dilated
-    spectral measure of a component drawn with probability mult*dim/dim."""
+def pushforward_stats(d: WeightedDecomposition,
+                      orders: Sequence[int]) -> PushforwardStats:
+    """Exact mean and covariance of the naive moments m_k = p_k(l) / n of a
+    component l drawn with probability mult*dim/dim, from the dim-weighted
+    sums of p_a(l) and p_a(l) p_b(l)."""
     if len(d) == 0:
         raise ValueError("empty decomposition")
     if len(d) > PUSHFORWARD_MAX_COMPONENTS:
         raise GuardError("decomposition exceeds the component guard")
     orders = tuple(orders)
     r = len(orders)
-    n = d.n
-    # index tuples a <= b <= c of the products of length <= 3, in the order
-    # the accumulation loop visits them
-    keys = []
-    for a in range(r):
-        keys.append((a,))
-        for b in range(a, r):
-            keys.append((a, b))
-            keys += [(a, b, c) for c in range(b, r)]
     total = 0
-    sums = [0] * len(keys)
+    sums = [0] * r
+    pair_sums = [[0] * r for _ in range(r)]     # upper triangle a <= b
     for l, mult in d.components:
         w = mult * weyl_dimension(l)
         total += w
-        u = _component_moment_numerators(l, orders, which)
-        i = 0
+        u = [l.power_sum(k) for k in orders]
         for a in range(r):
             wa = w * u[a]
-            sums[i] += wa
-            i += 1
+            sums[a] += wa
+            row = pair_sums[a]
             for b in range(a, r):
-                wab = wa * u[b]
-                sums[i] += wab
-                i += 1
-                for c in range(b, r):
-                    sums[i] += wab * u[c]
-                    i += 1
-
-    moment = {key: Fraction(s, total * n ** len(key))
-              for key, s in zip(keys, sums)}
-    cumulant = {key: moments_to_cumulants(MomentTable.from_function(
-        len(key), lambda sub: moment[tuple(key[j] for j in sub)])).top()
-        for key in keys}
-    scale = [eps ** k for k in orders]
-    scaled_mean = tuple(cumulant[(a,)] * scale[a] for a in range(r))
-    cov = tuple(tuple(cumulant[(min(a, b), max(a, b))] * scale[a] * scale[b]
-                      for b in range(r)) for a in range(r))
-    third = {(orders[a], orders[b], orders[c]):
-             cumulant[(a, b, c)] * scale[a] * scale[b] * scale[c]
-             for (a, b, c) in (key for key in keys if len(key) == 3)}
-    return PushforwardStats(orders=orders, mean=scaled_mean, cov=cov,
-                            third=third)
+                row[b] += wa * u[b]
+    n = d.n
+    mean = tuple(Fraction(s, total * n) for s in sums)
+    cov = tuple(tuple(Fraction(pair_sums[min(a, b)][max(a, b)], total * n * n)
+                      - mean[a] * mean[b] for b in range(r))
+                for a in range(r))
+    return PushforwardStats(orders=orders, mean=mean, cov=cov)

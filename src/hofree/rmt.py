@@ -7,7 +7,8 @@ entries runs entirely in rational arithmetic.  The two regimes never mix.
 
 A replica's normalized traces tr X^p come from products of matrix powers
 with no eigensolve (`power_traces`), a corner's from a similar matrix with no
-QR (`corner_traces`); `eigenvalues` serves the histogram and the tests.
+QR (`corner_traces`).  No sampler calls `eigenvalues`: it stays as the
+oracle the tests compare both trace paths against.
 
 Replica r of a run with master seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are reproducible and independent of any
@@ -137,7 +138,8 @@ def sum_independent(spec_a: EnsembleSpec, spec_b: EnsembleSpec,
 
 def eigenvalues(x) -> np.ndarray:
     """Sorted eigenvalues; the residual ||Xv - lambda v|| is checked against
-    the documented tolerance.  Non-finite input is refused."""
+    the documented tolerance.  Non-finite input is refused.  The oracle that
+    the tests check `power_traces` and `corner_traces` against."""
     mat = np.asarray(x)
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"matrix of shape {mat.shape} has non-finite entries")
@@ -154,13 +156,11 @@ def eigenvalues(x) -> np.ndarray:
     return vals
 
 
-def power_traces(x, powers: Sequence[int],
-                 trace_of_product=np.vdot) -> np.ndarray:
+def power_traces(x, powers: Sequence[int]) -> np.ndarray:
     """Normalized traces tr X^p = (1/m) Tr X^p of an m-by-m X, one per entry
-    of `powers`, with no eigensolve: Tr X^p = trace_of_product(X^a, X^b),
-    a = floor(p/2), b = ceil(p/2), and tr X from the diagonal.  The default
-    Frobenius product Tr A*B is exact for Hermitian X; others need Tr AB.
-    Up to the largest power P it forms X^2, ..., X^ceil(P/2): one for P <= 4.
+    of `powers`, with no eigensolve: Tr X^p = Tr AB for A = X^floor(p/2) and
+    B = X^ceil(p/2), and tr X from the diagonal.  Up to the largest power P
+    it forms X^2, ..., X^ceil(P/2): one for P <= 4.
 
     >>> power_traces(np.diag([2.0, -1.0, 0.0]), (3, 1, 2, 2))
     array([2.33333333, 0.33333333, 1.66666667, 1.66666667])
@@ -171,8 +171,9 @@ def power_traces(x, powers: Sequence[int],
     for _ in range((max(powers) + 1) // 2 - 1):
         power.append(power[-1] @ x)
     return np.array([(x.trace() if p == 1
-                      else trace_of_product(power[p // 2], power[p - p // 2])
-                      ).real / m for p in powers])
+                      else np.einsum("ij,ji->", power[p // 2],
+                                     power[p - p // 2])).real / m
+                     for p in powers])
 
 
 def corner_traces(spec: EnsembleSpec, rng, m: int, powers) -> np.ndarray:
@@ -185,7 +186,7 @@ def corner_traces(spec: EnsembleSpec, rng, m: int, powers) -> np.ndarray:
     gram, t = zh @ z, (zh * eigs) @ z
     del z, zh               # keeps n-by-m arrays out of the solve's peak memory
     y = np.linalg.solve(gram, t)
-    return power_traces(y, powers, lambda a, b: np.einsum("ij,ji->", a, b))
+    return power_traces(y, powers)
 
 
 def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:

@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import json
 import os
 
+import pytest
 
-from hofree.cli import main, write_histogram_svg
+from hofree import rmt
+from hofree.cli import main
 from hofree.experiments import RESTRICTION_AMPLITUDE, TENSOR_BULK_AMPLITUDE
 
 
@@ -90,16 +93,14 @@ def test_hof_check_passes_and_guards(capsys):
 
 def test_simulate_deterministic_and_formats(tmp_path, capsys):
     args = ["--seed", "9", "--out", str(tmp_path / "a"), "simulate",
-            "--spectrum", "1,0,-1", "--powers", "1,2", "--replicas", "64",
-            "--svg"]
+            "--spectrum", "1,0,-1", "--powers", "1,2", "--replicas", "64"]
     assert main(args) == 0
     capsys.readouterr()
     args2 = ["--seed", "9", "--out", str(tmp_path / "b"), "simulate",
-             "--spectrum", "1,0,-1", "--powers", "1,2", "--replicas", "64",
-             "--svg"]
+             "--spectrum", "1,0,-1", "--powers", "1,2", "--replicas", "64"]
     assert main(args2) == 0
     capsys.readouterr()
-    for name in ("traces.csv", "summary.json", "eigenvalues.svg"):
+    for name in ("traces.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
 
@@ -115,9 +116,30 @@ def test_simulate_deterministic_and_formats(tmp_path, capsys):
     assert abs(m2["mean"] - 2 / 3) < 1e-12
     assert abs(m2["variance"]) < 1e-24
 
-    svg = (tmp_path / "a" / "eigenvalues.svg").read_text()
-    assert svg.startswith("<svg")
-    assert "<script" not in svg
+
+def test_simulate_draws_each_replica_once_and_has_no_svg(tmp_path, capsys,
+                                                        monkeypatch):
+    # --svg is gone: argparse refuses it (exit 2) before anything is written
+    with pytest.raises(SystemExit) as refused:
+        main(["--out", str(tmp_path / "svg"), "simulate", "--spectrum",
+              "1,0,-1", "--replicas", "10", "--svg"])
+    assert refused.value.code == 2
+    assert not (tmp_path / "svg").exists()
+    capsys.readouterr()
+    sample_matrix = rmt.sample_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(rmt, "sample_matrix", counted)
+    assert main(["--out", str(tmp_path / "a"), "simulate", "--spectrum",
+                 "1,0,-1", "--replicas", "40"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 40
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+        ["summary.json", "traces.csv"]
 
 
 def test_tensor_command_small(tmp_path, capsys):
@@ -135,6 +157,40 @@ def test_tensor_command_small(tmp_path, capsys):
             6 * float(r["mc_se"]) + 1e-9
     exact = json.loads((tmp_path / "tensor_exact.json").read_text())
     assert all("/" in row["rep_mean"] for row in exact["rows"])
+
+
+# tensor --schedule 2,4,6 --max-order 4 --replicas 50 (seed 1):
+# (n, k, rep_mean, rep_var, free_target) of tensor_exact.json, whose bytes
+# hash to TENSOR_EXACT_SHA256
+TENSOR_EXACT_ROWS = [
+    (2, 1, "4/1", "0/1", "9/2"),
+    (2, 2, "26/1", "30/1", "61/2"),
+    (2, 3, "184/1", "4320/1", "459/2"),
+    (2, 4, "1346/1", "397254/1", "3621/2"),
+    (4, 1, "57/4", "0/1", "63/4"),
+    (4, 2, "1565/4", "2511/2", "875/2"),
+    (4, 3, "52857/4", "26395632/5", "30267/2"),
+    (4, 4, "1912829/4", "139104857601/10", "18124921/32"),
+    (6, 1, "25/1", "0/1", "55/2"),
+    (6, 2, "11635/9", "510875/81", "25685/18"),
+    (6, 3, "179745/2", "485392555/4", "300880/3"),
+    (6, 4, "62155781/9", "118780733883125/81", "638214958/81"),
+]
+TENSOR_EXACT_SHA256 = \
+    "606033aba4ea0b4dd269c1ce072aee22f97125ff9c9d88061a94171120f89c29"
+
+
+def test_tensor_exact_output_frozen(tmp_path, capsys):
+    args = ["--out", str(tmp_path), "tensor", "--schedule", "2,4,6",
+            "--max-order", "4", "--replicas", "50"]
+    assert main(args) == 0
+    capsys.readouterr()
+    raw = (tmp_path / "tensor_exact.json").read_bytes()
+    payload = json.loads(raw)
+    assert payload["eps_exponent"] == 1.5
+    assert [tuple(row.values()) for row in payload["rows"]] == \
+        TENSOR_EXACT_ROWS
+    assert hashlib.sha256(raw).hexdigest() == TENSOR_EXACT_SHA256
 
 
 def test_restrict_command_small(tmp_path, capsys):
@@ -176,7 +232,7 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
             (["--config", str(no_sizes), "restrict"], "both empty"),
             # tr X^2 overflows: no inf traces or NaN cumulants are written
             (["simulate", "--spectrum", "1e200,0,-1", "--powers", "1,2",
-              "--replicas", "5", "--svg"], "tr X^2 of replica 0 is not finite"),
+              "--replicas", "5"], "tr X^2 of replica 0 is not finite"),
             (["tensor", "--schedule", "0,2", "--replicas", "10"], "at least 1"),
             (["tensor", "--schedule=-2,2", "--replicas", "10"], "at least 1"),
             (["tensor", "--schedule", "2", "--max-order", "0"], "max order"),
@@ -329,11 +385,3 @@ def test_simulate_reads_seed_and_replicas_from_config(tmp_path, capsys):
     traces = {out: (tmp_path / out / "traces.csv").read_bytes()
               for out in runs}
     assert traces["config"] == traces["flags"] != traces["override"]
-
-
-def test_histogram_bins_rule(tmp_path):
-    path = tmp_path / "h.svg"
-    write_histogram_svg(path, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
-    text = path.read_text()
-    # Sturges: ceil(log2(8)) + 1 = 4 bars plus the background rectangle
-    assert text.count("<rect") == 1 + 4

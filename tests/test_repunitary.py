@@ -530,42 +530,35 @@ def test_restriction_interpolant_held_out_check_raises(monkeypatch):
 
 def test_pushforward_single_component_is_deterministic():
     d = WeightedDecomposition.from_dict(3, {sw(5, 2, 0): 4})
-    stats = pushforward_stats(d, Fraction(1), (1, 2))
+    stats = pushforward_stats(d, (1, 2))
     assert stats.cov == ((0, 0), (0, 0))
-    assert all(v == 0 for v in stats.third.values())
     assert stats.mean[0] == Fraction(7, 3)
 
 
 def test_pushforward_clebsch_gordan_frozen_values():
     d = lr_tensor_decompose((1, 0), (1, 0), 2)
-    stats = pushforward_stats(d, Fraction(1), (2,))
+    stats = pushforward_stats(d, (2,))
     # shifted weights (3,0) and (2,1): naive second moments 9/2 and 5/2
     assert stats.mean[0] == Fraction(4)
-    assert stats.variance(2) == Fraction(3, 4)
+    assert stats.cov[0][0] == Fraction(3, 4)
 
 
-def test_pushforward_scaling_and_natural_kind():
-    d = lr_tensor_decompose((1, 0), (1, 0), 2)
-    eps = Fraction(1, 2)
-    stats = pushforward_stats(d, eps, (1, 2))
-    unscaled = pushforward_stats(d, Fraction(1), (1, 2))
-    assert stats.mean[0] == eps * unscaled.mean[0]
-    assert stats.mean[1] == eps ** 2 * unscaled.mean[1]
-    assert stats.cov[1][1] == eps ** 4 * unscaled.cov[1][1]
-    nat = pushforward_stats(d, Fraction(1), (1,), which="natural")
-    expected = sum(p * natural_spectral_measure(l).moment(1)
-                   for l, p in d.distribution())
-    assert nat.mean[0] == expected
+def test_pushforward_refuses_empty_and_oversized_decompositions(monkeypatch):
+    with pytest.raises(ValueError, match="empty decomposition"):
+        pushforward_stats(WeightedDecomposition(2, ()), (1,))
+    monkeypatch.setattr(repunitary, "PUSHFORWARD_MAX_COMPONENTS", 1)
+    with pytest.raises(GuardError, match="component guard"):
+        pushforward_stats(lr_tensor_decompose((1, 0), (1, 0), 2), (1,))
 
 
-def test_pushforward_third_cumulant_matches_direct():
-    # every covariance and third cumulant of the naive moments of orders
-    # 1..3, against the textbook formulas on the exact distribution
+def test_pushforward_covariance_matches_direct():
+    # every covariance of the naive moments of orders 1..3, against the
+    # textbook formula on the exact distribution
     orders = (1, 2, 3)
     for a, b in [((2, 0), (2, 0)), ((2, 1, 0), (1, 1, 0)),
                  ((3, 1, 0), (2, 0, 0))]:
         d = lr_tensor_decompose(a, b, len(a))
-        stats = pushforward_stats(d, Fraction(1), orders)
+        stats = pushforward_stats(d, orders)
         dist = [(p, [naive_spectral_measure(l).moment(k) for k in orders])
                 for l, p in d.distribution()]
 
@@ -574,7 +567,3 @@ def test_pushforward_third_cumulant_matches_direct():
 
         for i, j in itertools.product(range(3), repeat=2):
             assert stats.cov[i][j] == e(i, j) - e(i) * e(j)
-        for i, j, k in itertools.combinations_with_replacement(range(3), 3):
-            assert stats.third[(orders[i], orders[j], orders[k])] == (
-                e(i, j, k) - e(i) * e(j, k) - e(j) * e(i, k) - e(k) * e(i, j)
-                + 2 * e(i) * e(j) * e(k))

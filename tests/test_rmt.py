@@ -195,7 +195,7 @@ def test_trace_statistics_thread_count_invariance(tmp_path):
 
 
 def test_power_traces_match_eigenvalue_powers():
-    # trace_statistics rows, from Frobenius products of matrix powers (and,
+    # trace_statistics rows, from trace products Tr AB of matrix powers (and,
     # for a corner m < n, of the QR-free similar matrix), equal the
     # eigenvalue powers of the same draws up to round-off
     powers = (4, 1, 8, 3, 2, 2, 7, 5, 6, 1)
