@@ -197,17 +197,14 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_spectral(args) -> int:
-    entries = args.l
-    if any(a <= b for a, b in zip(entries, entries[1:])):
-        raise ValueError(f"shifted weight must be strictly decreasing: {entries}")
+    l = ShiftedWeight(args.l)
     if args.order < 1:
         raise ValueError(f"--order must be at least 1; got {args.order}")
-    l = ShiftedWeight(entries)
     gamma = zelobenko_weights(l)
     naive = naive_spectral_measure(l).dilate(args.eps)
     natural = natural_spectral_measure(l).dilate(args.eps)
     payload = {
-        "l": list(entries),
+        "l": list(l.entries),
         "eps": _rational_str(args.eps),
         "gamma": [_rational_str(g) for g in gamma],
         "gamma_decimal": [float(g) for g in gamma],

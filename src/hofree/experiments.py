@@ -50,9 +50,8 @@ def row_profile(n: int, amplitude: float = TENSOR_ROW_AMPLITUDE) -> int:
     return max(1, round(amplitude * n ** 0.5 * (n - 1) ** 2 / n))
 
 
-def naive_moments_of_weight(l: ShiftedWeight, order: int, eps=1) -> list:
-    return [Fraction(l.power_sum(k), l.n) * eps ** k
-            for k in range(1, order + 1)]
+def naive_moments_of_weight(l: ShiftedWeight, order: int) -> list:
+    return [Fraction(l.power_sum(k), l.n) for k in range(1, order + 1)]
 
 
 def check_threads(threads: int) -> None:

@@ -56,7 +56,6 @@ class KappaTable:
 
     order: int
     n: int
-    eps: object
     values: dict
 
     def value(self, vp: PartitionedPermutation):
@@ -77,7 +76,7 @@ def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
               for pi in map(Permutation, itertools.permutations(range(k)))}
     values = {vp: tables[vp.permutation].value(vp.partition)
               for vp in partitioned_permutations(k)}
-    return KappaTable(order=k, n=spec.n, eps=spec.eps, values=values)
+    return KappaTable(order=k, n=spec.n, values=values)
 
 
 def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],

@@ -4,7 +4,8 @@ A partitioned permutation is a pair (V, pi) of a set partition V and a
 permutation pi whose cycles are contained in blocks of V.  The module provides
 the lattice operations and Mobius function of the partition lattice, the
 length functions, the partial product and partial order of partitioned
-permutations, conjugation, and exhaustive enumeration.
+permutations, conjugation with its complete invariant (the multiset of
+per-block cycle types), and exhaustive enumeration.
 
 All values are immutable and hashable, all operations are pure.  Values a
 type stores beside its fields (a permutation's cycles and inverse, a pair's
@@ -20,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .errors import GuardError
 
-# Exhaustive enumeration/search beyond this ground-set size is refused:
+# Exhaustive enumeration beyond this ground-set size is refused:
 # Bell(9) * 9! pairs is not a desk-scale computation.
 ENUMERATION_LIMIT = 8
 
@@ -351,43 +352,23 @@ def conjugate_pp(a: PartitionedPermutation, s: Permutation) -> PartitionedPermut
         SetPartition.from_blocks(a.size, blocks), perm)
 
 
-def _conjugacy_fingerprint(a: PartitionedPermutation):
-    # Invariant under relabeling: per block, (size, cycle lengths inside).
-    out = []
-    for blk in a.partition.blocks():
-        members = set(blk)
-        lens = sorted(len(c) for c in a.permutation.cycles() if c[0] in members)
-        out.append((len(blk), tuple(lens)))
-    return tuple(sorted(out))
+def conjugacy_key(a: PartitionedPermutation):
+    """The sorted multiset of per-block cycle types: shared exactly by
+    conjugate partitioned permutations, because a relabeling can send blocks
+    of one cycle type to each other, and cycles of one length to each other
+    in cyclic order."""
+    block_of = a.partition.block_of
+    types: dict[int, list[int]] = {}
+    for cyc in a.permutation.cycles():
+        types.setdefault(block_of[cyc[0]], []).append(len(cyc))
+    return tuple(sorted(tuple(sorted(t, reverse=True)) for t in types.values()))
 
 
 def are_conjugate(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
-    """True iff some relabeling s maps a to b (exhaustive search over s)."""
+    """True iff some relabeling s maps a to b."""
     if a.size != b.size:
         raise ValueError("ground-set mismatch")
-    if a.size > ENUMERATION_LIMIT:
-        raise GuardError(
-            f"conjugacy search is exhaustive and limited to k <= {ENUMERATION_LIMIT}")
-    if _conjugacy_fingerprint(a) != _conjugacy_fingerprint(b):
-        return False
-    for images in itertools.permutations(range(a.size)):
-        if conjugate_pp(a, Permutation(images)) == b:
-            return True
-    return False
-
-
-def conjugacy_key(a: PartitionedPermutation):
-    """Canonical key shared exactly by conjugate partitioned permutations."""
-    if a.size > ENUMERATION_LIMIT:
-        raise GuardError(
-            f"conjugacy canonicalization is limited to k <= {ENUMERATION_LIMIT}")
-    best = None
-    for s in itertools.permutations(range(a.size)):
-        c = conjugate_pp(a, Permutation(s))
-        key = (c.partition.block_of, c.permutation.images)
-        if best is None or key < best:
-            best = key
-    return best
+    return conjugacy_key(a) == conjugacy_key(b)
 
 
 def integer_partitions(k: int) -> list[tuple[int, ...]]:

@@ -3,21 +3,20 @@
 Irreducibles are indexed by their shifted highest weight l (strictly
 decreasing integers, l_i = lambda_i + n - i); ordinary highest weights appear
 only at API boundaries.  The module computes Weyl dimensions, the uniform
-("naive") and weighted ("natural") spectral measures, the triangular
-conversion between their moments, tensor-product decompositions
-(Littlewood-Richardson and the one-row Pieri special case), restriction to
-smaller unitary groups (interlacing chains counted by composing one-step
-branchings at small weights; branch means at any weight interpolated from
-those), and the exact mean and covariance of the naive-measure moments of a
-component drawn with probability multiplicity times dimension over the total
-dimension.
+("naive") and weighted ("natural") spectral measures, the conversion
+between their moments (one truncated exp or log of a power series in the
+power sums), tensor-product decompositions (Littlewood-Richardson and the
+one-row Pieri special case), restriction to smaller unitary groups
+(interlacing chains counted by composing one-step branchings at small
+weights; branch means at any weight interpolated from those), and the exact
+mean and covariance of the naive-measure moments of a component drawn with
+probability multiplicity times dimension over the total dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, gcd, prod
 from numbers import Integral
@@ -29,8 +28,6 @@ from .partperm import integer_partitions
 LR_MAX_RANK = 8
 LR_MAX_CELLS = 40
 PUSHFORWARD_MAX_COMPONENTS = 10 ** 7
-# entries kept by the Weyl-dimension cache; bounds its memory
-WEYL_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -70,8 +67,9 @@ class ShiftedWeight:
         return sum(x ** k for x in self.entries)
 
 
-@lru_cache(maxsize=WEYL_CACHE_SIZE)
-def _weyl_dimension_cached(entries: tuple[int, ...]) -> int:
+def weyl_dimension(l: ShiftedWeight) -> int:
+    """dim = prod_{i<j} (l_i - l_j) / (j - i); always an exact integer."""
+    entries = l.entries
     num = 1
     den = 1
     n = len(entries)
@@ -83,11 +81,6 @@ def _weyl_dimension_cached(entries: tuple[int, ...]) -> int:
     if rem:
         raise InvariantError(f"Weyl product not divisible at {entries}")
     return dim
-
-
-def weyl_dimension(l: ShiftedWeight) -> int:
-    """dim = prod_{i<j} (l_i - l_j) / (j - i); always an exact integer."""
-    return _weyl_dimension_cached(l.entries)
 
 
 @dataclass(frozen=True)
@@ -160,80 +153,36 @@ def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
 
 
 # -- conversion between naive and natural moments ----------------------------
-
-def _series_mul(a, b, qmax, smax):
-    out: dict = {}
-    for (qa, sa), ca in a.items():
-        for (qb, sb), cb in b.items():
-            q, s = qa + qb, sa + sb
-            if q <= qmax and s <= smax:
-                out[(q, s)] = out.get((q, s), Fraction(0)) + ca * cb
-    return out
-
-
-def _chain_sums(n: int, psums: Sequence, qmax: int, smax: int) -> dict:
-    """T[(q, s)] = sum over q-element subsets S of the spectrum of the
-    complete homogeneous polynomial h_s on S, from power sums alone.
-
-    Generating function: prod_i (1 + u/(1 - t x_i)); its logarithm is
-    sum_r (-1)^(r-1) u^r/r * sum_s binom(s+r-1, r-1) p_s t^s with p_0 = n.
-    """
-    p = [Fraction(n)] + [Fraction(x) for x in psums]
-    log_g: dict = {}
-    for r in range(1, qmax + 1):
-        base = Fraction((-1) ** (r - 1), r)
-        for s in range(0, smax + 1):
-            if s >= len(p):
-                break
-            c = base * comb(s + r - 1, r - 1) * p[s]
-            if c:
-                log_g[(r, s)] = log_g.get((r, s), Fraction(0)) + c
-    total = {(0, 0): Fraction(1)}
-    term = {(0, 0): Fraction(1)}
-    for m in range(1, qmax + 1):
-        term = _series_mul(term, log_g, qmax, smax)
-        term = {k: v / m for k, v in term.items()}
-        for k, v in term.items():
-            total[k] = total.get(k, Fraction(0)) + v
-    return total
-
+#
+# By residues, sum_i gamma_i / (z - l_i) = (1 - prod_j (z-1-l_j)/(z-l_j)) / n.
+# In w = 1/z, with p_0 = n and d_k = p_k(l+1) - p_k(l) = sum_{s<k} C(k,s) p_s,
+#     n * sum_{k>=0} m_k w^(k+1) = 1 - exp(-sum_{k>=1} d_k w^k / k),
+# m_k the natural moments (m_0 = 1).  Naive -> natural is one truncated exp,
+# natural -> naive the matching log.
 
 def naive_to_natural_moments(n: int, naive: Sequence) -> list:
-    """Natural moments m_1..m_K from naive moments of the same weight.
-
-    Implements the triangular expansion of n*m_k in the power sums of the
-    shifted weight (p_0 = n, p_s = n * naive_s).
-    """
-    order = len(naive)
-    psums = [n * Fraction(x) for x in naive]
-    t = _chain_sums(n, psums, order + 1, order)
-    out = []
-    for k in range(1, order + 1):
-        total = Fraction(0)
-        for q in range(1, k + 2):
-            s = k - q + 1
-            if s >= 0:
-                total += (-1) ** (q - 1) * t.get((q, s), Fraction(0))
-        out.append(total / n)
-    return out
+    """Natural moments m_1..m_K from naive moments of the same weight
+    (p_s = n * naive_s): the exp recurrence k f_k = sum_j j g_j f_{k-j} with
+    g_k = -d_k / k, and n m_k = -f_{k+1}."""
+    p = [Fraction(n)] + [n * Fraction(x) for x in naive]
+    g = [0] + [Fraction(-sum(comb(k, s) * p[s] for s in range(k)), k)
+               for k in range(1, len(p) + 1)]
+    f = [Fraction(1)]
+    for k in range(1, len(g)):
+        f.append(Fraction(sum(j * g[j] * f[k - j] for j in range(1, k + 1)), k))
+    return [-x / n for x in f[2:]]
 
 
 def natural_to_naive_moments(n: int, natural: Sequence) -> list:
-    """Inverse of naive_to_natural_moments, solved order by order."""
-    order = len(natural)
-    psums: list = []
-    out = []
-    for k in range(1, order + 1):
-        t = _chain_sums(n, psums, k + 1, k - 1)
-        correction = Fraction(0)
-        for q in range(2, k + 2):
-            s = k - q + 1
-            if s >= 0:
-                correction += (-1) ** (q - 1) * t.get((q, s), Fraction(0))
-        p_k = n * Fraction(natural[k - 1]) - correction
-        psums.append(p_k)
-        out.append(p_k / n)
-    return out
+    """Inverse of naive_to_natural_moments: the log recurrence gives d_k,
+    and d_k = k p_{k-1} + sum_{s<k-1} C(k, s) p_s is solved for p_{k-1}."""
+    f = [Fraction(1), Fraction(-n)] + [-n * Fraction(x) for x in natural]
+    g = [0]
+    p: list = []
+    for k in range(1, len(f)):
+        g.append(f[k] - Fraction(sum(j * g[j] * f[k - j] for j in range(1, k)), k))
+        p.append((-k * g[k] - sum(comb(k, s) * p[s] for s in range(k - 1))) / k)
+    return [x / n for x in p[1:]]
 
 
 # -- weighted decompositions --------------------------------------------------
@@ -354,8 +303,8 @@ def lr_tensor_decompose(lam: Sequence[int], mu: Sequence[int],
     table = {ShiftedWeight.from_highest_weight(
         tuple(x - s - t for x in shape)): c for shape, c in counts.items()}
     result = WeightedDecomposition.from_dict(n, table)
-    lhs = _weyl_dimension_cached(ShiftedWeight.from_highest_weight(lam).entries) \
-        * _weyl_dimension_cached(ShiftedWeight.from_highest_weight(mu).entries)
+    lhs = weyl_dimension(ShiftedWeight.from_highest_weight(lam)) \
+        * weyl_dimension(ShiftedWeight.from_highest_weight(mu))
     if lhs != result.total_dimension():
         raise InvariantError(f"LR dimension identity violated for "
                              f"{lam} x {mu}")
@@ -426,9 +375,9 @@ def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction
     return out
 
 
-def restriction_mean_moments(l: ShiftedWeight, m: int, orders: Sequence[int],
-                             eps=1) -> list:
-    """Exact expectations of the dilated naive-measure moments of a random
+def restriction_mean_moments(l: ShiftedWeight, m: int,
+                             orders: Sequence[int]) -> list:
+    """Exact expectations of the naive-measure moments of a random
     restricted component, without enumerating the support of l.
 
     E[p_k(u)], for u the shifted weight of a random U(m) component, is a
@@ -477,8 +426,7 @@ def restriction_mean_moments(l: ShiftedWeight, m: int, orders: Sequence[int],
     # [e_mu(l) | 0 | 1] eliminates to [0 | -t E p_k(l) | t] for some t != 0
     at_l = _eliminate(_elementary_row(l.entries, basis, degree)
                       + [0] * len(orders) + [1], pivots)
-    return [Fraction(-at_l[r + a], at_l[-1] * m) * eps ** k
-            for a, k in enumerate(orders)]
+    return [Fraction(-x, at_l[-1] * m) for x in at_l[r:-1]]
 
 
 def _sample_row(entries: tuple[int, ...], m: int, orders: tuple[int, ...],

@@ -372,6 +372,38 @@ def test_conjugacy_is_equivalence_and_length_invariant():
                 assert conjugate_pp(a, Permutation(s)).length() == a.length()
 
 
+def test_conjugacy_key_classes_are_the_relabeling_orbits():
+    for k in range(1, 6):
+        relabelings = [Permutation(s) for s in itertools.permutations(range(k))]
+        orbit = {}
+        for a in partitioned_permutations(k):
+            if a not in orbit:
+                members = frozenset(conjugate_pp(a, s) for s in relabelings)
+                orbit.update(dict.fromkeys(members, members))
+        classes = {}
+        for a in orbit:
+            classes.setdefault(conjugacy_key(a), set()).add(a)
+        assert set(map(frozenset, classes.values())) == set(orbit.values())
+        elems = list(orbit)
+        for a in elems:
+            for b in elems:
+                assert are_conjugate(a, b) == (b in orbit[a])
+
+
+def test_conjugacy_beyond_the_enumeration_limit():
+    k = 10
+    blocks = [(0, 1, 2, 3), (4, 5, 6), (7, 8), (9,)]
+    a = PartitionedPermutation(SetPartition.from_blocks(k, blocks),
+                               Permutation.from_cycles(k, (0, 1), (2, 3), (4, 5, 6)))
+    s = Permutation((3, 7, 9, 0, 5, 1, 8, 2, 4, 6))
+    assert are_conjugate(a, conjugate_pp(a, s))
+    # same blocks and cycle type, but the two 2-cycles in different blocks
+    b = PartitionedPermutation(SetPartition.from_blocks(k, blocks),
+                               Permutation.from_cycles(k, (0, 1), (4, 5, 6), (7, 8)))
+    assert a.permutation.cycle_type() == b.permutation.cycle_type()
+    assert not are_conjugate(a, b)
+
+
 def test_contiguous_cycles():
     assert contiguous_cycles(2) == Permutation.from_cycles(2, (0, 1))
     assert contiguous_cycles(2, 1) == Permutation.from_cycles(3, (0, 1))
