@@ -138,20 +138,6 @@ def natural_spectral_measure(l: ShiftedWeight) -> AtomicMeasure:
     return AtomicMeasure.from_pairs(zip(l.entries, zelobenko_weights(l)))
 
 
-def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
-    """(1/n) * (sum of all entries of (L + J)^k), J strictly upper of -1."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    n = l.n
-    m = [[l.entries[i] if i == j else (-1 if j > i else 0)
-          for j in range(n)] for i in range(n)]
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(k):
-        power = [[sum(power[i][t] * m[t][j] for t in range(n))
-                  for j in range(n)] for i in range(n)]
-    return Fraction(sum(sum(row) for row in power), n)
-
-
 # -- conversion between naive and natural moments ----------------------------
 #
 # By residues, sum_i gamma_i / (z - l_i) = (1 - prod_j (z-1-l_j)/(z-l_j)) / n.

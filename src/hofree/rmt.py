@@ -6,9 +6,12 @@ point; the Weingarten oracle for exact Haar integrals of products of matrix
 entries runs entirely in rational arithmetic.  The two regimes never mix.
 
 A replica's normalized traces tr X^p come from products of matrix powers
-with no eigensolve (`power_traces`), a corner's from a similar matrix with no
-QR (`corner_traces`).  No sampler calls `eigenvalues`: it stays as the
-oracle the tests compare both trace paths against.
+with no eigensolve (`power_traces`).  A corner's come with no QR
+(`corner_traces`): for 2m <= n from a matrix similar to it, built from an
+n-by-m Ginibre draw; for 2m > n from (n - m)-sized algebra on an
+n-by-(n - m) draw whose complement is the corner's subspace.  No sampler
+calls `eigenvalues`: it stays as the oracle the tests compare every trace
+path against.
 
 Replica r of a run with master seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are reproducible and independent of any
@@ -46,7 +49,10 @@ def _ginibre(n: int, rng, m: int) -> np.ndarray:
     """n-by-m complex normals, real parts first, for 1 <= m <= n."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n; got n = {n} and m = {m}")
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    z = np.empty((n, m), dtype=complex)
+    z.real = rng.standard_normal((n, m))
+    z.imag = rng.standard_normal((n, m))
+    return z
 
 
 def haar_unitary(n: int, rng: np.random.Generator,
@@ -177,16 +183,81 @@ def power_traces(x, powers: Sequence[int]) -> np.ndarray:
 
 
 def corner_traces(spec: EnsembleSpec, rng, m: int, powers) -> np.ndarray:
-    """`power_traces(sample_matrix(spec, rng, m), powers)` up to round-off,
-    from the same draws and with no QR: the corner W*DW, D = diag(eps l) and
-    Z = WR the Ginibre draw's thin QR, is similar to Y = (Z*Z)^-1 Z*DZ."""
+    """Normalized traces of the m-by-m corner W*DW, D = diag(eps l), of
+    1 <= m <= n, with no QR.  For 2m <= n they are
+    `power_traces(sample_matrix(spec, rng, m), powers)` up to round-off, from
+    the same draws: with Z = WR the n-by-m Ginibre draw's thin QR, W*DW is
+    similar to Y = (Z*Z)^-1 Z*DZ.  For 2m > n the draw is an n-by-(n - m)
+    Ginibre Z whose complement is the Haar m-subspace: with Q = Z G^-1 Z*
+    and G = Z*Z, Tr (W*DW)^p = Tr (D - QD)^p, expanded by
+    `_complement_words` into traces of N_b = G^-1 Z*D^bZ.  For m = n they
+    are tr D^p."""
+    n = spec.n
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n; got n = {n} and m = {m}")
     eigs = float(spec.eps) * _draw_atom(spec, rng)
-    z = _ginibre(spec.n, rng, m)
-    zh = z.conj().T
-    gram, t = zh @ z, (zh * eigs) @ z
-    del z, zh               # keeps n-by-m arrays out of the solve's peak memory
-    y = np.linalg.solve(gram, t)
-    return power_traces(y, powers)
+    if 2 * m <= n:
+        z = _ginibre(n, rng, m)
+        zh = z.conj().T
+        gram, t = zh @ z, (zh * eigs) @ z
+        del z, zh           # keeps n-by-m arrays out of the solve's peak memory
+        y = np.linalg.solve(gram, t)
+        return power_traces(y, powers)
+    # a spectrum that overflows gives inf or nan traces, which the caller
+    # refuses; the arithmetic that carries them there does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = {p: np.sum(eigs ** p) for p in powers}
+        if m < n:
+            _add_complement_words(traces, eigs, _ginibre(n, rng, n - m))
+        return np.array([traces[p].real for p in powers]) / m
+
+
+@lru_cache(maxsize=None)
+def _complement_words(p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Tr (D - QD)^p = Tr D^p + sum of c Tr(N_b1 ... N_bj) over the pairs
+    ((b1, ..., bj), c) of this table.  A word of the expansion with QD at
+    positions s1 < ... < sj (j >= 1) rotates to Q D^b1 ... Q D^bj, the bi
+    the cyclic gaps between the si, whose trace is Tr(N_b1 ... N_bj); the
+    gaps are stored as their least rotation and c sums the signs (-1)^j.
+
+    >>> _complement_words(2)
+    (((2,), -2), ((1, 1), 1))
+    """
+    table = {}
+    for mask in range(1, 2 ** p):
+        at = [i for i in range(p) if mask >> i & 1]
+        gaps = [b - a for a, b in zip(at, at[1:])] + [at[0] + p - at[-1]]
+        word = min(tuple(gaps[i:] + gaps[:i]) for i in range(len(gaps)))
+        table[word] = table.get(word, 0) + (-1) ** len(gaps)
+    return tuple(table.items())
+
+
+def _add_complement_words(traces: dict, eigs: np.ndarray, z: np.ndarray):
+    """Add the words of `_complement_words(p)` to traces[p] = Tr D^p for
+    each p, from the n-by-r draw Z: one r-by-n by n-by-(P + 1)r product for
+    G and every Z*D^aZ, a <= P, one r-by-r inverse, and r-by-r products."""
+    n, r = z.shape
+    top = max(traces)
+    scaled = z[:, None, :] * (eigs[:, None] ** np.arange(top + 1))[:, :, None]
+    blocks = (z.conj().T @ scaled.reshape(n, (top + 1) * r)).reshape(
+        r, top + 1, r)
+    del scaled
+    ginv = np.linalg.inv(blocks[:, 0])
+    # products of N_b keyed by their gaps, built prefix by prefix in a loop
+    products = {(a,): ginv @ blocks[:, a] for a in range(1, top + 1)}
+    for p in traces:
+        for word, c in _complement_words(p):
+            if len(word) == 1:
+                traces[p] += c * np.trace(products[word])
+                continue
+            cut = (len(word) + 1) // 2
+            for part in (word[:cut], word[cut:]):
+                for k in range(2, len(part) + 1):
+                    if part[:k] not in products:
+                        products[part[:k]] = (products[part[:k - 1]]
+                                              @ products[part[k - 1:k]])
+            traces[p] += c * np.einsum("ij,ji->", products[word[:cut]],
+                                       products[word[cut:]])
 
 
 def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:

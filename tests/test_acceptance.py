@@ -47,7 +47,6 @@ from hofree.partperm import (
 )
 from hofree.repunitary import (
     ShiftedWeight,
-    natural_moment_via_matrix,
     naive_to_natural_moments,
     natural_to_naive_moments,
     natural_spectral_measure,
@@ -56,6 +55,8 @@ from hofree.repunitary import (
     restriction_mean_moments,
     zelobenko_weights,
 )
+
+from oracles import natural_moment_via_matrix
 
 SCHEDULE = (2, 4, 6, 8)
 ORDERS = (1, 2, 3, 4)

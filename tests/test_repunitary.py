@@ -16,7 +16,6 @@ from hofree.repunitary import (
     lr_tensor_decompose,
     naive_spectral_measure,
     naive_to_natural_moments,
-    natural_moment_via_matrix,
     natural_spectral_measure,
     natural_to_naive_moments,
     pieri_decompose,
@@ -25,6 +24,8 @@ from hofree.repunitary import (
     weyl_dimension,
     zelobenko_weights,
 )
+
+from oracles import natural_moment_via_matrix
 
 
 def sw(*entries):

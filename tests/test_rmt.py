@@ -1,13 +1,16 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hofree import rmt
 from hofree.errors import GuardError
 from hofree.rmt import (
     EnsembleSpec,
     WEINGARTEN_MAX_ORDER,
+    corner_traces,
     eigenvalues,
     exact_entry_moment,
     haar_unitary,
@@ -119,9 +122,11 @@ def test_corner():
                 b = eigenvalues(x)
                 assert np.all(a[:m] <= b + 1e-12), (eigs, m, r)
                 assert np.all(b <= a[n - m:] + 1e-12), (eigs, m, r)
-    for m in (0, 6, -1):
+    for m in (0, 6, -1, 9):
         with pytest.raises(ValueError):
             sample_matrix(spec, replica_rng(4, 0), m)
+        with pytest.raises(ValueError, match=rf"got n = 5 and m = {m}$"):
+            corner_traces(spec, replica_rng(4, 0), m, (1,))
         with pytest.raises(ValueError):
             trace_statistics(spec, (1,), replicas=2, seed=0, m=m)
     with pytest.raises(ValueError, match="corners of sums"):
@@ -144,6 +149,10 @@ def test_full_draw_is_the_conjugation_formula():
         x = (x + x.conj().T) / 2
         assert np.array_equal(sample_matrix(spec, replica_rng(12, r)), x)
         assert np.array_equal(sample_matrix(spec, replica_rng(12, r), 4), x)
+        # a full-size corner's traces are the spectrum's
+        tr_d = [np.mean((0.25 * np.array(eigs)) ** p) for p in (2, 1)]
+        assert np.array_equal(
+            corner_traces(spec, replica_rng(12, r), 4, (2, 1)), tr_d)
     assert np.array_equal(
         trace_statistics(spec, (1, 2, 3), replicas=5, seed=12, m=4).values,
         trace_statistics(spec, (1, 2, 3), replicas=5, seed=12).values)
@@ -194,10 +203,23 @@ def test_trace_statistics_thread_count_invariance(tmp_path):
     assert header == "n,eps,seed,spec"
 
 
+def complement_corner(spec, rng, m):
+    """(I - Q) D (I - Q) from the draws of a corner with 2m > n: Q projects
+    onto the range of the n-by-(n - m) Ginibre draw, so the matrix has the
+    corner's m eigenvalues and n - m zeros."""
+    eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
+    z = rmt._ginibre(spec.n, rng, spec.n - m)
+    zh = z.conj().T
+    p = np.eye(spec.n) - z @ np.linalg.solve(zh @ z, zh)
+    x = p @ (eigs[:, None] * p)
+    return (x + x.conj().T) / 2
+
+
 def test_power_traces_match_eigenvalue_powers():
     # trace_statistics rows, from trace products Tr AB of matrix powers (and,
-    # for a corner m < n, of the QR-free similar matrix), equal the
-    # eigenvalue powers of the same draws up to round-off
+    # for a corner m < n, of the QR-free similar matrix or the complement's
+    # word expansion), equal the eigenvalue powers of the same draws up to
+    # round-off; the oracle of a corner with 2m > n is (I - Q) D (I - Q)
     powers = (4, 1, 8, 3, 2, 2, 7, 5, 6, 1)
     fixed = EnsembleSpec.fixed((3, 1, 0, -1, -4), eps=Fraction(1, 2))
     mixture = EnsembleSpec.mixture([((2, 0, -1, 1), Fraction(1, 3)),
@@ -206,13 +228,19 @@ def test_power_traces_match_eigenvalue_powers():
     large = EnsembleSpec.mixture([(range(32, -32, -1), Fraction(1, 2)),
                                   (range(-20, 44), Fraction(1, 2))],
                                  eps=Fraction(1, 16))
+
+    def corner(spec, m):
+        if 2 * m > spec.n and m < spec.n:
+            return lambda rng: complement_corner(spec, rng, m)
+        return lambda rng: sample_matrix(spec, rng, m)
+
     cases = [(fixed, None, 6, lambda rng: sample_matrix(fixed, rng)),
              (mixture, None, 6, lambda rng: sample_matrix(mixture, rng)),
              ((fixed, other), None, 6,
-              lambda rng: sum_independent(fixed, other, rng)),
-             (large, 63, 2, lambda rng: sample_matrix(large, rng, 63))]
-    cases += [(spec, m, 6, lambda rng, spec=spec, m=m:
-               sample_matrix(spec, rng, m))
+              lambda rng: sum_independent(fixed, other, rng))]
+    # at n = 64: the boundary 2m = n of the direct side, and m = n - 1
+    cases += [(large, m, 2, corner(large, m)) for m in (32, 33, 63)]
+    cases += [(spec, m, 6, corner(spec, m))
               for spec in (fixed, mixture) for m in range(1, spec.n + 1)]
     for spec, m, reps, draw in cases:
         table = trace_statistics(spec, powers, replicas=reps, seed=31, m=m)
@@ -221,17 +249,41 @@ def test_power_traces_match_eigenvalue_powers():
             eigs = eigenvalues(draw(replica_rng(31, r)))
             norm = max(1.0, float(np.abs(eigs).max()))
             for i, p in enumerate(powers):
-                want = np.mean(eigs ** p)
+                want = np.sum(eigs ** p) / table.n
                 assert abs(table.values[r, i] - want) <= 1e-12 * norm ** p, \
                     (spec, m, r, p)
 
 
+def test_corner_trace_means_match_exact_moments():
+    # E tr C^p of the m-by-m corner is a sum of exact entry moments over the
+    # index cycles i1 -> i2 -> ... -> ip -> i1 in the corner; the complement
+    # side (2m > n) and the direct side (2m <= n) both meet it within 3 SE
+    powers = (1, 2, 3, 4)
+    reps = 20_000
+    for eigs, m in (((3, 1, 0, -1, -2), 3), ((2, 1, 1, 0, -1, -3), 4),
+                    ((2, 1, 1, 0, -1, -3), 3)):
+        spec = EnsembleSpec.fixed(eigs, eps=Fraction(1, 2))
+        table = trace_statistics(spec, powers, replicas=reps, seed=41, m=m)
+        for p in powers:
+            exact = sum(exact_entry_moment(spec, list(zip(ix, ix[1:] + ix[:1])))
+                        for ix in itertools.product(range(m), repeat=p)) / m
+            col = table.column(p)
+            se = col.std() / np.sqrt(reps)
+            assert abs(col.mean() - float(exact)) <= 3 * se, (eigs, m, p)
+
+
 def test_non_finite_traces_and_matrices_refused():
     huge = EnsembleSpec.fixed((1e200, 0, -1))
-    with pytest.raises(ValueError, match=r"tr X\^2 of replica 0 is not finite"):
-        trace_statistics(huge, (1, 2), replicas=5, seed=0)
-    with pytest.raises(ValueError, match=r"tr X\^2 of replica 0 is not finite"):
-        trace_statistics(huge, (1, 2), replicas=5, seed=0, m=2)
+    with warnings.catch_warnings():
+        # the refusal is the finiteness check, with no overflow warning
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"tr X\^2 of replica 0 is not finite"):
+            trace_statistics(huge, (1, 2), replicas=5, seed=0)
+        for m in (1, 2):
+            with pytest.raises(ValueError,
+                               match=r"tr X\^2 of replica 0 is not finite"):
+                trace_statistics(huge, (1, 2), replicas=5, seed=0, m=m)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite"):
             eigenvalues(np.array([[1.0, 0.0], [0.0, bad]]))
