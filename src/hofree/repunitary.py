@@ -5,8 +5,9 @@ decreasing integers, l_i = lambda_i + n - i); ordinary highest weights appear
 only at API boundaries.  The module computes Weyl dimensions, the uniform
 ("naive") and weighted ("natural") spectral measures, the conversion
 between their moments (one truncated exp or log of a power series in the
-power sums), tensor-product decompositions (Littlewood-Richardson and the
-one-row Pieri special case), restriction to smaller unitary groups
+power sums), tensor-product decompositions from one horizontal-strip step
+(Pieri is one strip; Littlewood-Richardson one per letter of the second
+factor, equal tableau states merged), restriction to smaller unitary groups
 (interlacing chains counted by composing one-step branchings at small
 weights; branch means at any weight interpolated from those), and the exact
 mean and covariance of the naive-measure moments of a component drawn with
@@ -216,11 +217,46 @@ def _check_highest_weight(lam, n):
     return lam
 
 
+def _strips(shape: tuple[int, ...], size: int,
+            ballot: tuple[int, ...] | None = None):
+    """Every horizontal strip of `size` boxes on the partition `shape`, as
+    (new shape, running box counts by row), depth first.  With `ballot`,
+    the previous letter's running counts in a Littlewood-Richardson
+    tableau, the count through row j is at most ballot[j - 1] (0 in row 0).
+    Row j takes at least what the rows below it cannot hold, and a ballot
+    that leaves no room yields nothing at once, so no branch is abandoned.
+
+    >>> list(_strips((1, 1, 0), 2))
+    [((2, 1, 1), (1, 1, 2)), ((3, 1, 0), (2, 2, 2))]
+    >>> list(_strips((2, 1, 0), 1, ballot=(1, 2, 2)))
+    [((2, 1, 1), (0, 0, 1)), ((2, 2, 0), (0, 1, 1))]
+    """
+    n = len(shape)
+    # cap[j]: the most boxes rows 0..j may hold; the rows after j hold at
+    # most the sum of their gaps, shape[j] - shape[-1]
+    cap = (size,) * n if ballot is None else (0,) + ballot[:-1]
+    if any(size > c + x - shape[-1] for c, x in zip(cap, shape)):
+        return
+    stack = [(0, size, (), ())]
+    while stack:
+        j, left, new, cum = stack.pop()
+        if j == n:
+            yield new, cum
+            continue
+        done = size - left
+        hi = min(left, cap[j] - done, shape[j - 1] - shape[j] if j else left)
+        for a in range(hi, max(0, left - shape[j] + shape[-1]) - 1, -1):
+            stack.append((j + 1, left - a, new + (shape[j] + a,),
+                          cum + (done + a,)))
+
+
 def lr_tensor_decompose(lam: Sequence[int], mu: Sequence[int],
                         n: int) -> WeightedDecomposition:
-    """Decomposition of the tensor product of two irreducibles by enumeration
-    of Littlewood-Richardson skew tableaux (column-strict fillings whose
-    reverse reading word is a ballot sequence).
+    """Decomposition of the tensor product of two irreducibles by counting
+    Littlewood-Richardson skew tableaux (column-strict fillings whose
+    reverse reading word is a ballot sequence): one `_strips` step per
+    letter, the previous letter's running counts as the ballot bound, with
+    equal (shape, counts) states merged after every letter.
 
     Negative entries are handled by twisting both factors with a power of the
     determinant character, decomposing, and shifting back.
@@ -240,54 +276,19 @@ def lr_tensor_decompose(lam: Sequence[int], mu: Sequence[int],
             f"tensor decomposition needs a factor with at most {LR_MAX_CELLS} "
             f"cells after the determinant twist; got {sum(mu2)}")
 
-    counts: dict[tuple[int, ...], int] = {}
-
-    def place_letter(letter, shape):
-        # distribute mu2[letter] cells of this letter row by row
-        amount = mu2[letter]
-        placements: list[tuple[int, ...]] = []
-
-        def rows(j, prev_cum, cum, current, left):
-            if j == n:
-                if left == 0:
-                    placements.append(tuple(current))
-                return
-            hi = left
-            if j > 0:
-                hi = min(hi, shape[j - 1] - shape[j])      # horizontal strip
-            if letter > 0:
-                # ballot: count of this letter through row j cannot exceed
-                # the previous letter's count through row j-1
-                bound = prev_cum[j - 1] if j > 0 else 0
-                hi = min(hi, bound - cum)
-            for a in range(0, hi + 1):
-                current.append(shape[j] + a)
-                rows(j + 1, prev_cum, cum + a, current, left - a)
-                current.pop()
-
-        prev_cum = cum_counts[letter - 1] if letter > 0 else None
-        rows(0, prev_cum, 0, [], amount)
-        return placements
-
-    def dfs(letter, shape):
-        if letter == len(mu2):
-            counts[shape] = counts.get(shape, 0) + 1
-            return
-        for new_shape in place_letter(letter, shape):
-            cum = []
-            acc = 0
-            for j in range(n):
-                acc += new_shape[j] - shape[j]
-                cum.append(acc)
-            cum_counts.append(cum)
-            dfs(letter + 1, new_shape)
-            cum_counts.pop()
-
-    cum_counts: list[list[int]] = []
-    dfs(0, lam2)
-
-    table = {ShiftedWeight.from_highest_weight(
-        tuple(x - s - t for x in shape)): c for shape, c in counts.items()}
+    # (shape, running counts of the last letter) -> number of tableaux;
+    # the next letter's strips depend on nothing else, so equal states merge
+    states = {(lam2, None): 1}
+    for size in mu2:
+        step: dict = {}
+        for (shape, ballot), c in states.items():
+            for key in _strips(shape, size, ballot):
+                step[key] = step.get(key, 0) + c
+        states = step
+    table: dict[ShiftedWeight, int] = {}
+    for (shape, _), c in states.items():
+        l = ShiftedWeight.from_highest_weight(tuple(x - s - t for x in shape))
+        table[l] = table.get(l, 0) + c
     result = WeightedDecomposition.from_dict(n, table)
     lhs = weyl_dimension(ShiftedWeight.from_highest_weight(lam)) \
         * weyl_dimension(ShiftedWeight.from_highest_weight(mu))
@@ -303,22 +304,9 @@ def pieri_decompose(lam: Sequence[int], row: int, n: int) -> WeightedDecompositi
     lam = _check_highest_weight(lam, n)
     if row < 0:
         raise ValueError("row length must be nonnegative")
-    out: dict[ShiftedWeight, int] = {}
-
-    def rows(j, current, left):
-        if j == n:
-            if left == 0:
-                shape = tuple(current)
-                out[ShiftedWeight.from_highest_weight(shape)] = 1
-            return
-        hi = left if j == 0 else min(left, lam[j - 1] - lam[j])
-        for a in range(0, hi + 1):
-            current.append(lam[j] + a)
-            rows(j + 1, current, left - a)
-            current.pop()
-
-    rows(0, [], row)
-    return WeightedDecomposition.from_dict(n, out)
+    return WeightedDecomposition.from_dict(n, {
+        ShiftedWeight.from_highest_weight(shape): 1
+        for shape, _ in _strips(lam, row)})
 
 
 # -- restriction to U(m) ------------------------------------------------------

@@ -5,13 +5,13 @@ sums, corners, per-replica trace tables) runs in 64-bit complex floating
 point; the Weingarten oracle for exact Haar integrals of products of matrix
 entries runs entirely in rational arithmetic.  The two regimes never mix.
 
-A replica's normalized traces tr X^p come from products of matrix powers
-with no eigensolve (`power_traces`).  A corner's come with no QR
-(`corner_traces`): for 2m <= n from a matrix similar to it, built from an
-n-by-m Ginibre draw; for 2m > n from (n - m)-sized algebra on an
-n-by-(n - m) draw whose complement is the corner's subspace.  No sampler
-calls `eigenvalues`: it stays as the oracle the tests compare every trace
-path against.
+A sum's normalized traces tr X^p come from products of matrix powers with no
+eigensolve (`power_traces`).  A single ensemble's come with no QR
+(`corner_traces`): at full size they are the drawn spectrum's; for a corner
+with 2m <= n from a matrix similar to it, built from an n-by-m Ginibre draw;
+for 2m > n from (n - m)-sized algebra on an n-by-(n - m) draw whose
+complement is the corner's subspace.  No sampler calls `eigenvalues`: it
+stays as the oracle the tests compare every trace path against.
 
 Replica r of a run with master seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are reproducible and independent of any
@@ -136,10 +136,14 @@ def sample_matrix(spec: EnsembleSpec, rng, m: int | None = None) -> np.ndarray:
 
 def sum_independent(spec_a: EnsembleSpec, spec_b: EnsembleSpec,
                     rng) -> np.ndarray:
-    """Sum of independent draws from the two ensembles."""
+    """diag(eps_a l_a) + X_b from one Haar draw: the sum of independent
+    draws from the two ensembles up to conjugation (U A U* + V B V* is
+    U (A + W B W*) U* with W = U*V Haar and independent of U), so its
+    spectrum and traces have the sum's law; its entries do not."""
     if spec_a.n != spec_b.n:
         raise ValueError("summands must have the same size")
-    return sample_matrix(spec_a, rng) + sample_matrix(spec_b, rng)
+    a = float(spec_a.eps) * _draw_atom(spec_a, rng)
+    return np.diag(a) + sample_matrix(spec_b, rng)
 
 
 def eigenvalues(x) -> np.ndarray:
@@ -277,7 +281,7 @@ def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:
 @dataclass(frozen=True)
 class TraceTable:
     """Per-replica normalized traces tr X^p = (1/n) Tr X^p, from
-    `power_traces`."""
+    `corner_traces` or, for sums, `power_traces`."""
 
     n: int
     eps: float
@@ -315,8 +319,9 @@ class TraceTable:
 def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
                      threads: int = 1, m: int | None = None) -> TraceTable:
     """Monte-Carlo table of normalized traces of X, or of its leading m-by-m
-    corner (by `corner_traces` for m < n); `spec` is an EnsembleSpec or a
-    pair of them (summed independently, and then without a corner)."""
+    corner, by `corner_traces` (for m = n the spectrum's, exact after the
+    atom draw); `spec` is an EnsembleSpec or a pair of them (summed
+    independently by `sum_independent`, and then without a corner)."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     powers = tuple(powers)
@@ -326,9 +331,7 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
         first, label = spec, spec.spec_hash()
 
         def traces(rng):
-            if m is None or m == spec.n:
-                return power_traces(sample_matrix(spec, rng), powers)
-            return corner_traces(spec, rng, m, powers)
+            return corner_traces(spec, rng, spec.n if m is None else m, powers)
     else:
         if m is not None:
             raise ValueError("corners of sums are not sampled")

@@ -3,7 +3,7 @@ against; no code in `src` calls them."""
 
 from fractions import Fraction
 
-from hofree.repunitary import ShiftedWeight
+from hofree.repunitary import ShiftedWeight, WeightedDecomposition
 
 
 def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
@@ -19,3 +19,60 @@ def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
         power = [[sum(power[i][t] * m[t][j] for t in range(n))
                   for j in range(n)] for i in range(n)]
     return Fraction(sum(sum(row) for row in power), n)
+
+
+def lr_tensor_oracle(lam, mu, n: int) -> WeightedDecomposition:
+    """V_lam (x) V_mu by walking every Littlewood-Richardson skew tableau
+    of content mu on lam, one at a time: each letter's cells are placed row
+    by row as a horizontal strip, a branch is dropped when its letter
+    cannot finish, and equal tableau prefixes are never merged.  Weakly
+    decreasing integer weights; negative entries are twisted away by a
+    power of the determinant and twisted back."""
+    s = -min(lam[-1], 0)
+    t = -min(mu[-1], 0)
+    lam2 = tuple(x + s for x in lam)
+    mu2 = tuple(x + t for x in mu)
+    if sum(mu2) > sum(lam2):
+        lam2, mu2 = mu2, lam2
+    counts: dict = {}
+    cum_counts: list = []
+
+    def place_letter(letter, shape):
+        placements = []
+
+        def rows(j, cum, current, left):
+            if j == n:
+                if left == 0:
+                    placements.append(tuple(current))
+                return
+            hi = left
+            if j > 0:
+                hi = min(hi, shape[j - 1] - shape[j])      # horizontal strip
+            if letter > 0:
+                # ballot: count of this letter through row j cannot exceed
+                # the previous letter's count through row j-1
+                hi = min(hi, (cum_counts[-1][j - 1] if j > 0 else 0) - cum)
+            for a in range(hi + 1):
+                current.append(shape[j] + a)
+                rows(j + 1, cum + a, current, left - a)
+                current.pop()
+
+        rows(0, 0, [], mu2[letter])
+        return placements
+
+    def dfs(letter, shape):
+        if letter == len(mu2):
+            counts[shape] = counts.get(shape, 0) + 1
+            return
+        for new_shape in place_letter(letter, shape):
+            cum = [0]
+            for j in range(n):
+                cum.append(cum[-1] + new_shape[j] - shape[j])
+            cum_counts.append(cum[1:])
+            dfs(letter + 1, new_shape)
+            cum_counts.pop()
+
+    dfs(0, lam2)
+    return WeightedDecomposition.from_dict(n, {
+        ShiftedWeight.from_highest_weight(tuple(x - s - t for x in shape)): c
+        for shape, c in counts.items()})

@@ -111,10 +111,10 @@ def test_simulate_deterministic_and_formats(tmp_path, capsys):
     assert len(rows) == 3 + 64 * 2
 
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
-    # fixed spectrum: every trace is deterministic
+    # fixed spectrum: every trace is the spectrum's, with no round-off
     m2 = next(c for c in summary["cumulants"] if c["p"] == 2)
     assert abs(m2["mean"] - 2 / 3) < 1e-12
-    assert abs(m2["variance"]) < 1e-24
+    assert m2["variance"] == 0.0
 
 
 def test_simulate_draws_each_replica_once_and_has_no_svg(tmp_path, capsys,
@@ -126,14 +126,14 @@ def test_simulate_draws_each_replica_once_and_has_no_svg(tmp_path, capsys,
     assert refused.value.code == 2
     assert not (tmp_path / "svg").exists()
     capsys.readouterr()
-    sample_matrix = rmt.sample_matrix
+    corner_traces = rmt.corner_traces
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return sample_matrix(*args, **kwargs)
+        return corner_traces(*args, **kwargs)
 
-    monkeypatch.setattr(rmt, "sample_matrix", counted)
+    monkeypatch.setattr(rmt, "corner_traces", counted)
     assert main(["--out", str(tmp_path / "a"), "simulate", "--spectrum",
                  "1,0,-1", "--replicas", "40"]) == 0
     capsys.readouterr()

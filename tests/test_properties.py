@@ -1,5 +1,6 @@
-"""Property tests: the naive/natural conversion round trip and the conjugacy
-invariant, over inputs drawn by Hypothesis (derandomized, so reproducible)."""
+"""Property tests: the naive/natural conversion round trip, the conjugacy
+invariant, and the tensor decompositions against the recursive oracle, over
+inputs drawn by Hypothesis (derandomized, so reproducible)."""
 
 import pytest
 
@@ -15,9 +16,13 @@ from hofree.partperm import (  # noqa: E402
     conjugate_pp,
 )
 from hofree.repunitary import (  # noqa: E402
+    lr_tensor_decompose,
     naive_to_natural_moments,
     natural_to_naive_moments,
+    pieri_decompose,
 )
+
+from oracles import lr_tensor_oracle  # noqa: E402
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -59,3 +64,21 @@ def partitioned_permutation_and_relabeling(draw):
 def test_conjugacy_key_is_invariant_under_relabeling(pair):
     a, s = pair
     assert conjugacy_key(conjugate_pp(a, s)) == conjugacy_key(a)
+
+
+@st.composite
+def weight_pair(draw):
+    """Two weakly decreasing weights of one rank n <= 4, entries -3..5."""
+    n = draw(st.integers(1, 4))
+    weight = st.lists(st.integers(-3, 5), min_size=n, max_size=n).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+    return n, draw(weight), draw(weight)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(weight_pair(), st.integers(0, 5))
+def test_tensor_decompositions_equal_the_recursive_oracle(case, row):
+    n, lam, mu = case
+    assert lr_tensor_decompose(lam, mu, n) == lr_tensor_oracle(lam, mu, n)
+    one_row = (row,) + (0,) * (n - 1)
+    assert pieri_decompose(lam, row, n) == lr_tensor_oracle(lam, one_row, n)

@@ -25,7 +25,7 @@ from hofree.repunitary import (
     zelobenko_weights,
 )
 
-from oracles import natural_moment_via_matrix
+from oracles import lr_tensor_oracle, natural_moment_via_matrix
 
 
 def sw(*entries):
@@ -368,6 +368,16 @@ def test_pieri_examples_and_agreement_with_lr():
         mu = (k,) + (0,) * (n - 1)
         assert pieri_decompose(lam, k, n).components == \
             lr_tensor_decompose(lam, mu, n).components
+
+
+def test_lr_bulk_times_bulk_matches_oracle():
+    # (12,10,7,5,2,0) x (6,5,4,2,1,0): 2,322 components, many with
+    # multiplicity above one, so merged tableau states are counted
+    lam, mu = bulk_profile(6, 1.0), bulk_profile(6, 0.5)
+    d = lr_tensor_decompose(lam, mu, 6)
+    assert len(d) == 2322
+    assert max(m for _, m in d.components) > 1
+    assert d == lr_tensor_oracle(lam, mu, 6)
 
 
 def test_distribution_examples():
