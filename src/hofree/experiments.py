@@ -260,11 +260,17 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
         gammas = [(g, g.cycle_partition(), PartitionedPermutation(full, g))
                   for g in (contiguous_cycles(*c) for c in integer_partitions(k))]
         checked, holds = 0, True
+        # V v C(gamma) = 1 does not depend on pi: one join per (V, gamma)
+        connected: dict = {}
         # one streamed sweep per k: the enumeration is never held in memory
         for vp in partitioned_permutations(k):
-            for gamma, gamma_part, top in gammas:
+            v = vp.partition
+            if v not in connected:
+                connected[v] = [v.join(gamma_part) == full
+                                for _, gamma_part, _ in gammas]
+            for (gamma, _, top), joins in zip(gammas, connected[v]):
                 below = leq_pp(vp, top)
-                if vp.partition.join(gamma_part) != full:
+                if not joins:
                     holds &= not below
                     continue
                 checked += 1

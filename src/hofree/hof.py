@@ -30,6 +30,7 @@ from .partperm import (
     PartitionedPermutation,
     Permutation,
     SetPartition,
+    _num_cycles,
     contiguous_cycles,
     leq_pp,  # unused here; the benchmark tracer's self-test reads hof.leq_pp
     partitioned_permutations,
@@ -38,15 +39,32 @@ from .partperm import (
 KAPPA_MAX_ORDER = 4
 
 
+def _index_pattern(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The rows, then the columns, relabelled by first appearance.  An exact
+    entry moment depends on its pairs only through this pattern: the
+    Weingarten sum runs over the sigma with rows[m] = cols[sigma(m)]."""
+    label: dict[int, int] = {}
+    return tuple(label.setdefault(x, len(label))
+                 for x in [i for i, _ in pairs] + [j for _, j in pairs])
+
+
 def entry_cumulants(spec: rmt.EnsembleSpec,
-                    pairs: Sequence[tuple[int, int]]) -> CumulantTable:
+                    pairs: Sequence[tuple[int, int]],
+                    memo: dict | None = None) -> CumulantTable:
     """Joint classical cumulants of the designated entries over every subset
     of positions, exact through the Weingarten oracle; k_V of the entries is
-    .value(V), whether or not the pairing refines V."""
-    table = MomentTable.from_function(
-        len(pairs),
-        lambda subset: rmt.exact_entry_moment(spec, [pairs[i] for i in subset]))
-    return moments_to_cumulants(table)
+    .value(V), whether or not the pairing refines V.  A ``memo`` dict shares
+    the entry moments of one spec by index pattern across calls."""
+    def moment(subset):
+        sub = [pairs[i] for i in subset]
+        if memo is None:
+            return rmt.exact_entry_moment(spec, sub)
+        key = _index_pattern(sub)
+        if key not in memo:
+            memo[key] = rmt.exact_entry_moment(spec, sub)
+        return memo[key]
+
+    return moments_to_cumulants(MomentTable.from_function(len(pairs), moment))
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,8 @@ def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     if spec.n < k:
         raise GuardError(
             f"entry patterns need n >= k (n = {spec.n}, k = {k}); refusing")
-    tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)])
+    memo: dict = {}
+    tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)], memo)
               for pi in map(Permutation, itertools.permutations(range(k)))}
     values = {vp: tables[vp.permutation].value(vp.partition)
               for vp in partitioned_permutations(k)}
@@ -129,7 +148,8 @@ def macro_from_micro(table: KappaTable, powers: Sequence[int]):
             continue
         if vp.partition.join(gamma_part) != full:
             continue
-        cycles = (gamma * vp.permutation.inverse()).num_cycles()
+        inv = vp.permutation.inverse().images
+        cycles = _num_cycles([gamma.images[j] for j in inv])
         total = total + kappa * Fraction(n) ** cycles
     return total
 
@@ -168,8 +188,11 @@ def verify_trace_cumulant_identity(spec: rmt.EnsembleSpec,
 def scaling_exponent(vp: PartitionedPermutation, gamma: Permutation) -> int:
     """|(0, gamma pi^-1)| + |(V,pi)| - |(1, gamma)|; nonnegative, and zero
     exactly when (V,pi) <= (1, gamma)."""
-    if len(vp.permutation.images) != len(gamma.images):
+    g = gamma.images
+    k = len(g)
+    if len(vp.permutation.images) != k:
         raise ValueError("ground-set mismatch")
     top_length = gamma.length() + 2 * (gamma.num_cycles() - 1)
-    step = (gamma * vp.permutation.inverse()).length()
+    inv = vp.permutation.inverse().images
+    step = k - _num_cycles([g[j] for j in inv])
     return step + vp.length() - top_length

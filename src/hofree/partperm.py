@@ -333,15 +333,46 @@ def product_pp(a: PartitionedPermutation,
     return result
 
 
+def _num_cycles(images: Sequence[int]) -> int:
+    """Number of cycles of a permutation in one-line form, known to be valid."""
+    seen = [False] * len(images)
+    count = 0
+    for start in range(len(images)):
+        if not seen[start]:
+            count += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = images[j]
+    return count
+
+
+def _join_cycles(block_of: Sequence[int], images: Sequence[int]) -> tuple[int, ...]:
+    """Canonical ``block_of`` of V v C(sigma), for V in canonical form and
+    sigma a valid permutation in one-line form: ``SetPartition.join`` with
+    i and sigma(i) merged for every i."""
+    label = list(block_of)
+    for i, j in enumerate(images):
+        lo, hi = label[i], label[j]
+        if lo != hi:
+            if lo > hi:
+                lo, hi = hi, lo
+            label = [lo if x == hi else x for x in label]
+    return tuple(label)
+
+
 def leq_pp(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
     """True iff a * (0, sigma) = b for sigma = pia^-1 pib.  Not transitive in
     general.  That product is (Va v C(sigma), pib), always a valid pair, so
     it is b iff Va v C(sigma) = Vb and the lengths add up."""
-    if len(a.permutation.images) != len(b.permutation.images):
+    b_images = b.permutation.images
+    k = len(b_images)
+    if len(a.permutation.images) != k:
         raise ValueError("ground-set mismatch")
-    sigma = a.permutation.inverse() * b.permutation
-    return (a.length() + sigma.length() == b.length()
-            and a.partition.join(sigma.cycle_partition()) == b.partition)
+    inv = a.permutation.inverse().images
+    sigma = [inv[j] for j in b_images]
+    return (a.length() + k - _num_cycles(sigma) == b.length()
+            and _join_cycles(a.partition.block_of, sigma) == b.partition.block_of)
 
 
 def conjugate_pp(a: PartitionedPermutation, s: Permutation) -> PartitionedPermutation:

@@ -40,7 +40,10 @@ class ShiftedWeight:
     def __post_init__(self):
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
-        if not all(isinstance(x, Integral) for x in self.entries):
+        # the exact type test first: the ABC check is slow, and is only the
+        # fallback for bool and numpy integers
+        if not all(type(x) is int or isinstance(x, Integral)
+                   for x in self.entries):
             raise ValueError(f"entries must be integers: {self.entries}")
         if any(a <= b for a, b in zip(self.entries, self.entries[1:])):
             raise ValueError(f"entries must be strictly decreasing: {self.entries}")
@@ -324,29 +327,6 @@ def _chain_counts(entries: tuple[int, ...], m: int) -> dict[tuple[int, ...], int
                 step[v] = step.get(v, 0) + c
         counts = step
     return counts
-
-
-def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction]]:
-    """Restriction to U(m) (1 <= m < n): the composition of one-step
-    branchings, weights in descending order; probabilities are chain-count
-    times dimension over dim.  Its cost grows with the product of the gaps of
-    l, so it is meant for small weights; no code in the package calls it
-    (`restriction_mean_moments` gives the branch means at any weight)."""
-    n = l.n
-    if not 1 <= m < n:
-        raise ValueError(f"target rank must satisfy 1 <= m < {n}")
-    dim_l = weyl_dimension(l)
-    out = []
-    total = 0
-    for v, count in sorted(_chain_counts(l.entries, m).items(), reverse=True):
-        w = ShiftedWeight(v)
-        weight = count * weyl_dimension(w)
-        total += weight
-        out.append((w, Fraction(weight, dim_l)))
-    if total != dim_l:
-        raise InvariantError(f"branching weights of {l.entries} do not sum "
-                             f"to the dimension")
-    return out
 
 
 def restriction_mean_moments(l: ShiftedWeight, m: int,

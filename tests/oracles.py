@@ -3,7 +3,9 @@ against; no code in `src` calls them."""
 
 from fractions import Fraction
 
-from hofree.repunitary import ShiftedWeight, WeightedDecomposition
+from hofree import repunitary
+from hofree.errors import InvariantError
+from hofree.repunitary import ShiftedWeight, WeightedDecomposition, weyl_dimension
 
 
 def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
@@ -19,6 +21,31 @@ def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
         power = [[sum(power[i][t] * m[t][j] for t in range(n))
                   for j in range(n)] for i in range(n)]
     return Fraction(sum(sum(row) for row in power), n)
+
+
+def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction]]:
+    """Restriction to U(m) (1 <= m < n): the composition of one-step
+    branchings, weights in descending order; probabilities are chain-count
+    times dimension over dim.  Its cost grows with the product of the gaps of
+    l, so it is meant for small weights (`restriction_mean_moments` gives the
+    branch means at any weight)."""
+    n = l.n
+    if not 1 <= m < n:
+        raise ValueError(f"target rank must satisfy 1 <= m < {n}")
+    dim_l = weyl_dimension(l)
+    out = []
+    total = 0
+    # looked up on the module, so that a test can patch the chain counts
+    counts = repunitary._chain_counts(l.entries, m)
+    for v, count in sorted(counts.items(), reverse=True):
+        w = ShiftedWeight(v)
+        weight = count * weyl_dimension(w)
+        total += weight
+        out.append((w, Fraction(weight, dim_l)))
+    if total != dim_l:
+        raise InvariantError(f"branching weights of {l.entries} do not sum "
+                             f"to the dimension")
+    return out
 
 
 def lr_tensor_oracle(lam, mu, n: int) -> WeightedDecomposition:

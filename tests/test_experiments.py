@@ -20,11 +20,9 @@ from hofree.partperm import (
     leq_pp,
     partitioned_permutations,
 )
-from hofree.repunitary import (
-    ShiftedWeight,
-    branch_chain,
-    restriction_mean_moments,
-)
+from hofree.repunitary import ShiftedWeight, restriction_mean_moments
+
+from oracles import branch_chain
 
 
 def test_profiles_scale_like_n_to_three_halves():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from hofree.partperm import (
     partitioned_permutations,
     set_partitions,
 )
-from hofree.rmt import EnsembleSpec
+from hofree.rmt import EnsembleSpec, exact_entry_moment
 
 
 FIXED = EnsembleSpec.fixed((3, 1, 0, -2), eps=Fraction(1, 2))
@@ -87,6 +88,43 @@ def test_kappa_guards():
     small = EnsembleSpec.fixed((1, 0))
     with pytest.raises(GuardError):
         kappa_exact(small, 3)
+
+
+def hof_check_spectra(n):
+    # the fixed and two-atom mixed spectra of experiments.hof_check
+    top = tuple(range(n, 0, -1))
+    alt = tuple(x + (1 if i % 2 == 0 else -1) for i, x in enumerate(top))
+    return (EnsembleSpec.fixed(top, eps=Fraction(1, n)),
+            EnsembleSpec.mixture([(top, Fraction(1, 2)), (alt, Fraction(1, 2))],
+                                 eps=Fraction(1, n)))
+
+
+def test_kappa_exact_shared_moments_match_per_permutation_tables():
+    # one moment memo for all k! permutations against a table built per pi
+    # with no memo
+    for n in (4, 5):
+        for spec in hof_check_spectra(n):
+            for k in range(1, 5):
+                tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)])
+                          for pi in map(Permutation,
+                                        itertools.permutations(range(k)))}
+                expected = {vp: tables[vp.permutation].value(vp.partition)
+                            for vp in partitioned_permutations(k)}
+                assert kappa_exact(spec, k).values == expected, (n, k)
+
+
+def test_exact_entry_moment_is_invariant_under_index_relabelling():
+    # the moment memo keys on which indices coincide, so one relabelling of
+    # rows and columns together must leave every moment unchanged
+    rng = random.Random(16)
+    for spec in hof_check_spectra(5):
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            pairs = [(rng.randrange(5), rng.randrange(5)) for _ in range(k)]
+            s = rng.sample(range(5), 5)
+            relabelled = [(s[i], s[j]) for i, j in pairs]
+            assert (exact_entry_moment(spec, relabelled)
+                    == exact_entry_moment(spec, pairs)), pairs
 
 
 def test_macro_single_term():

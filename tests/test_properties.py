@@ -1,6 +1,8 @@
 """Property tests: the naive/natural conversion round trip, the conjugacy
-invariant, and the tensor decompositions against the recursive oracle, over
-inputs drawn by Hypothesis (derandomized, so reproducible)."""
+invariant, the tuple-level partial order and scaling exponent against their
+object-built definitions, and the tensor decompositions against the
+recursive oracle, over inputs drawn by Hypothesis (derandomized, so
+reproducible)."""
 
 import pytest
 
@@ -8,12 +10,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hofree.hof import scaling_exponent  # noqa: E402
 from hofree.partperm import (  # noqa: E402
     PartitionedPermutation,
     Permutation,
     SetPartition,
     conjugacy_key,
     conjugate_pp,
+    leq_pp,
+    product_pp,
 )
 from hofree.repunitary import (  # noqa: E402
     lr_tensor_decompose,
@@ -47,14 +52,18 @@ def _runs(draw, seq):
     return out
 
 
-@st.composite
-def partitioned_permutation_and_relabeling(draw):
-    k = draw(st.integers(1, 9))
+def _partitioned_permutation(draw, k):
     # blocks are runs of a shuffled ground set, cycles are runs of a block
     blocks = _runs(draw, draw(st.permutations(range(k))))
     cycles = [c for blk in blocks for c in _runs(draw, blk)]
-    a = PartitionedPermutation(SetPartition.from_blocks(k, blocks),
-                               Permutation.from_cycles(k, *cycles))
+    return PartitionedPermutation(SetPartition.from_blocks(k, blocks),
+                                  Permutation.from_cycles(k, *cycles))
+
+
+@st.composite
+def partitioned_permutation_and_relabeling(draw):
+    k = draw(st.integers(1, 9))
+    a = _partitioned_permutation(draw, k)
     s = Permutation(tuple(draw(st.permutations(range(k)))))
     return a, s
 
@@ -64,6 +73,46 @@ def partitioned_permutation_and_relabeling(draw):
 def test_conjugacy_key_is_invariant_under_relabeling(pair):
     a, s = pair
     assert conjugacy_key(conjugate_pp(a, s)) == conjugacy_key(a)
+
+
+@st.composite
+def partitioned_permutation_pair(draw):
+    """(a, b) at k = 5..7.  b is a * (0, tau), for tau a product of drawn
+    transpositions, when that partial product exists and a drawn coin keeps
+    it, and an independent draw otherwise, so that both answers of leq_pp
+    occur."""
+    k = draw(st.integers(5, 7))
+    a = _partitioned_permutation(draw, k)
+    tau = Permutation.identity(k)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                        st.integers(0, k - 1)),
+                              min_size=1, max_size=3)):
+        if i != j:
+            tau = tau * Permutation.from_cycles(k, (i, j))
+    b = product_pp(a, PartitionedPermutation.minimal(tau))
+    if b is None or draw(st.booleans()):
+        b = _partitioned_permutation(draw, k)
+    return a, b
+
+
+@settings(derandomize=True, max_examples=200)
+@given(partitioned_permutation_pair())
+def test_leq_pp_is_the_partial_product_test_at_larger_k(pair):
+    a, b = pair
+    step = PartitionedPermutation.minimal(
+        a.permutation.inverse() * b.permutation)
+    assert leq_pp(a, b) == (product_pp(a, step) == b)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(partitioned_permutation_pair())
+def test_scaling_exponent_is_the_permutation_built_formula(pair):
+    vp, other = pair
+    gamma = other.permutation
+    k = vp.size
+    top = PartitionedPermutation(SetPartition.full(k), gamma).length()
+    expected = (gamma * vp.permutation.inverse()).length() + vp.length() - top
+    assert scaling_exponent(vp, gamma) == expected
 
 
 @st.composite

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import comb, prod
 
+import numpy as np
 import pytest
 
 from hofree import repunitary
@@ -12,7 +13,6 @@ from hofree.repunitary import (
     AtomicMeasure,
     ShiftedWeight,
     WeightedDecomposition,
-    branch_chain,
     lr_tensor_decompose,
     naive_spectral_measure,
     naive_to_natural_moments,
@@ -25,7 +25,7 @@ from hofree.repunitary import (
     zelobenko_weights,
 )
 
-from oracles import lr_tensor_oracle, natural_moment_via_matrix
+from oracles import branch_chain, lr_tensor_oracle, natural_moment_via_matrix
 
 
 def sw(*entries):
@@ -148,6 +148,13 @@ def test_shift_roundtrip_and_examples():
     for entries in ((2.5, 0.5), (2.0, 0), (Fraction(3), 1)):
         with pytest.raises(ValueError, match="integers"):
             ShiftedWeight(entries)
+
+
+def test_shifted_weight_accepts_every_integral_type():
+    # the exact int test is only a fast path: bool and numpy integers pass
+    # through the Integral fallback
+    for entries in ((3, 1), (True, False), (np.int64(3), np.int32(1))):
+        assert ShiftedWeight(entries).entries == entries
 
 
 def test_weyl_dimension_small():
