@@ -271,6 +271,8 @@ def cmd_hof_check(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args, replicas=1000)
     seed, replicas = config.seed, config.replicas
+    if any(abs(x) > sys.float_info.max for x in (*args.spectrum, args.eps)):
+        raise ValueError("the spectrum and eps must fit in a float")
     spec = rmt.EnsembleSpec.fixed(args.spectrum, eps=args.eps)
     table = rmt.trace_statistics(spec, args.powers, replicas=replicas,
                                  seed=seed, threads=config.threads)

@@ -77,6 +77,9 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        knobs = (self.eps_exponent, self.amplitude, self.row_amplitude)
+        if not np.isfinite(knobs).all():
+            raise ValueError(f"eps exponent and amplitudes must be finite: {knobs}")
         if self.eps_exponent <= 1:
             raise ValueError(
                 f"eps exponent must exceed 1 (eps_n = o(1/n) is required); "

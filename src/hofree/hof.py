@@ -39,30 +39,13 @@ from .partperm import (
 KAPPA_MAX_ORDER = 4
 
 
-def _index_pattern(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """The rows, then the columns, relabelled by first appearance.  An exact
-    entry moment depends on its pairs only through this pattern: the
-    Weingarten sum runs over the sigma with rows[m] = cols[sigma(m)]."""
-    label: dict[int, int] = {}
-    return tuple(label.setdefault(x, len(label))
-                 for x in [i for i, _ in pairs] + [j for _, j in pairs])
-
-
 def entry_cumulants(spec: rmt.EnsembleSpec,
-                    pairs: Sequence[tuple[int, int]],
-                    memo: dict | None = None) -> CumulantTable:
+                    pairs: Sequence[tuple[int, int]]) -> CumulantTable:
     """Joint classical cumulants of the designated entries over every subset
     of positions, exact through the Weingarten oracle; k_V of the entries is
-    .value(V), whether or not the pairing refines V.  A ``memo`` dict shares
-    the entry moments of one spec by index pattern across calls."""
+    .value(V), whether or not the pairing refines V."""
     def moment(subset):
-        sub = [pairs[i] for i in subset]
-        if memo is None:
-            return rmt.exact_entry_moment(spec, sub)
-        key = _index_pattern(sub)
-        if key not in memo:
-            memo[key] = rmt.exact_entry_moment(spec, sub)
-        return memo[key]
+        return rmt.exact_entry_moment(spec, [pairs[i] for i in subset])
 
     return moments_to_cumulants(MomentTable.from_function(len(pairs), moment))
 
@@ -90,8 +73,7 @@ def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     if spec.n < k:
         raise GuardError(
             f"entry patterns need n >= k (n = {spec.n}, k = {k}); refusing")
-    memo: dict = {}
-    tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)], memo)
+    tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)])
               for pi in map(Permutation, itertools.permutations(range(k)))}
     values = {vp: tables[vp.permutation].value(vp.partition)
               for vp in partitioned_permutations(k)}

@@ -194,15 +194,7 @@ class SetPartition:
         """Least upper bound in the refinement order."""
         if len(self.block_of) != len(other.block_of):
             raise ValueError("ground-set mismatch")
-        # labels stay block minima: merging two groups keeps the smaller
-        label = list(self.block_of)
-        for i, b in enumerate(other.block_of):
-            lo, hi = label[i], label[b]
-            if lo != hi:
-                if lo > hi:
-                    lo, hi = hi, lo
-                label = [lo if x == hi else x for x in label]
-        return SetPartition(tuple(label))
+        return SetPartition(_join_cycles(self.block_of, other.block_of))
 
     def meet(self, other: "SetPartition") -> "SetPartition":
         """Greatest lower bound in the refinement order."""
@@ -348,9 +340,9 @@ def _num_cycles(images: Sequence[int]) -> int:
 
 
 def _join_cycles(block_of: Sequence[int], images: Sequence[int]) -> tuple[int, ...]:
-    """Canonical ``block_of`` of V v C(sigma), for V in canonical form and
-    sigma a valid permutation in one-line form: ``SetPartition.join`` with
-    i and sigma(i) merged for every i."""
+    """Canonical ``block_of`` of V with i and images[i] merged for every i,
+    for V in canonical form: V v C(sigma) for a permutation's one-line form,
+    V v W for W's ``block_of``.  Labels stay block minima."""
     label = list(block_of)
     for i, j in enumerate(images):
         lo, hi = label[i], label[j]

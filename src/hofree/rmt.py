@@ -3,7 +3,7 @@
 Monte-Carlo sampling (Haar unitaries via phase-fixed QR, conjugated spectra,
 sums, corners, per-replica trace tables) runs in 64-bit complex floating
 point; the Weingarten oracle for exact Haar integrals of products of matrix
-entries runs entirely in rational arithmetic.  The two regimes never mix.
+entries sums characters of S_k in exact rationals.  The regimes never mix.
 
 A sum's normalized traces tr X^p come from products of matrix powers with no
 eigensolve (`power_traces`).  A single ensemble's come with no QR
@@ -23,6 +23,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import cumulants
 from .errors import GuardError
-from .partperm import Permutation, contiguous_cycles, integer_partitions
+from .partperm import Permutation, integer_partitions
 
 WEINGARTEN_MAX_ORDER = 5
 EIGENVALUE_RESIDUAL_TOL = 1e-10
@@ -368,100 +370,117 @@ class WeingartenTable:
         return self.values[Permutation(tuple(images)).cycle_type()]
 
 
-def _solve_rational(a, b):
-    # Gaussian elimination over Fraction
-    m = len(a)
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for c in range(m):
-        pivot = next(r for r in range(c, m) if aug[r][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    return [aug[r][m] for r in range(m)]
-
-
 @lru_cache(maxsize=None)
-def _symmetric_group(k: int):
-    """S_k in itertools order: the permutations, their cycle types, and the
-    index table quotient[a][b] of perms[a] * perms[b]^-1."""
-    perms = tuple(Permutation(p) for p in itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    inverses = [p.inverse() for p in perms]
-    quotient = tuple(tuple(index[a * b] for b in inverses) for a in perms)
-    return perms, tuple(p.cycle_type() for p in perms), quotient
+def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi^lam(mu), the irreducible character of S_k at cycle type mu, by
+    Murnaghan-Nakayama: sum (-1)^height chi^(lam less hook)(mu[1:]) over the
+    rim hooks of length r = mu[0].  On the beta-set {lam_i + len(lam) - 1 - i}
+    a hook moves a bead b to a free b - r >= 0; its height is the beads passed.
 
-
-@lru_cache(maxsize=None)
-def weingarten_table(k: int, n: int) -> WeingartenTable:
-    """Exact Weingarten function by a linear solve on class functions.
-
-    Defining identity: sum_tau Wg(sigma tau^-1) n^(#tau) = [sigma = id].
-    Refused for n < k, where the Gram form is singular.
+    >>> [_character((2, 1), mu) for mu in integer_partitions(3)]
+    [-1, 0, 2]
     """
+    if not mu:
+        return 1
+    r, top = mu[0], len(lam) - 1
+    beta = {x + top - i for i, x in enumerate(lam)}
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            left = sorted(beta - {b} | {b - r}, reverse=True)
+            total += (-1) ** sum(b - r < c < b for c in beta) * _character(
+                tuple(x - top + i for i, x in enumerate(left)), mu[1:])
+    return total
+
+
+def _schur_dimension(lam: tuple[int, ...], n: int) -> int:
+    """s_lam(1^n), the dimension of the U(n) irreducible of highest weight
+    lam: the product over the boxes (i, j) of lam of (n + j - i) / hook."""
+    boxes = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    height = [sum(x > j for x in lam) for j in range(lam[0])]
+    return (math.prod(n + j - i for i, j in boxes)
+            // math.prod(lam[i] - j + height[j] - i - 1 for i, j in boxes))
+
+
+@lru_cache(maxsize=None)
+def _weingarten_coefficients(k: int, n: int) -> tuple[Fraction, ...]:
+    """c_lam = chi^lam(1) / (k! s_lam(1^n)) for lam in `integer_partitions(k)`
+    order: Wg(., n) = (1/k!) sum_lam c_lam chi^lam(1) chi^lam.  As n >= k,
+    every s_lam(1^n) is positive."""
     if not 1 <= k <= WEINGARTEN_MAX_ORDER:
         raise GuardError(
             f"Weingarten table is limited to 1 <= k <= {WEINGARTEN_MAX_ORDER}")
     if n < k:
         raise GuardError(
             f"Gram form is singular for n < k (n = {n}, k = {k}); refusing")
-    classes = integer_partitions(k)
-    index = {c: i for i, c in enumerate(classes)}
-    perms, types, quotient = _symmetric_group(k)
-    a = [[Fraction(0)] * len(classes) for _ in classes]
-    for ci, ctype in enumerate(classes):
-        row = quotient[perms.index(contiguous_cycles(*ctype))]
-        for t, ttype in enumerate(types):
-            a[ci][index[types[row[t]]]] += Fraction(n) ** len(ttype)
-    rhs = [Fraction(1) if ctype == (1,) * k else Fraction(0)
-           for ctype in classes]
-    sol = _solve_rational(a, rhs)
-    return WeingartenTable(order=k, n=n,
-                           values={c: sol[i] for i, c in enumerate(classes)})
+    return tuple(Fraction(_character(lam, (1,) * k),
+                          math.factorial(k) * _schur_dimension(lam, n))
+                 for lam in integer_partitions(k))
+
+
+@lru_cache(maxsize=None)
+def weingarten_table(k: int, n: int) -> WeingartenTable:
+    """Exact Weingarten function from the characters of S_k:
+    Wg(mu, n) = sum_lam chi^lam(1)^2 chi^lam(mu) / (k!^2 s_lam(1^n)).
+
+    Defining identity: sum_tau Wg(sigma tau^-1) n^(#tau) = [sigma = id].
+    Refused for n < k, where the Gram form is singular.
+    """
+    terms = list(zip(integer_partitions(k), _weingarten_coefficients(k, n)))
+    return WeingartenTable(order=k, n=n, values={
+        mu: sum(c * _character(lam, (1,) * k) * _character(lam, mu)
+                for lam, c in terms) / math.factorial(k)
+        for mu in integer_partitions(k)})
+
+
+@lru_cache(maxsize=4096)
+def _pattern_weights(pattern: tuple[int, ...], n: int) -> tuple[Fraction, ...]:
+    """Per lam as in `_weingarten_coefficients`, c_lam times the sum of
+    chi^lam(sigma) over the sigma with rows[m] = cols[sigma(m)], for the
+    pattern rows + cols; empty when no sigma matches.  Guards k and n."""
+    k = len(pattern) // 2
+    coefficients = _weingarten_coefficients(k, n)
+    types = [Permutation(s).cycle_type() for s in itertools.permutations(range(k))
+             if all(pattern[m] == pattern[k + s[m]] for m in range(k))]
+    return tuple(c * sum(_character(lam, t) for t in types) for lam, c in
+                 zip(integer_partitions(k), coefficients)) if types else ()
+
+
+@lru_cache(maxsize=256)
+def _schur_values(eigs: tuple, k: int) -> tuple:
+    """s_lam(l) = sum_mu chi^lam(mu) p_mu(l) / z_mu per lam in
+    `integer_partitions(k)` order; z_mu = prod c^m m! over the parts c, m each."""
+    power = [sum(x ** c for x in eigs) for c in range(k + 1)]
+    terms = [(mu, math.prod(power[c] for c in mu),
+              math.prod(c ** m * math.factorial(m) for c, m in Counter(mu).items()))
+             for mu in integer_partitions(k)]
+    return tuple(sum(Fraction(_character(lam, mu), z) * p for mu, p, z in terms)
+                 for lam in integer_partitions(k))
 
 
 def exact_entry_moment(spec: EnsembleSpec, pairs: Sequence[tuple[int, int]]):
     """Exact E[X_{i1 j1} ... X_{ik jk}] for X = eps * U diag(l) U*.
 
-    Expands the Haar integral through the Weingarten formula; a spectrum
-    mixture is averaged atom by atom.  Exact (Fraction) whenever the
-    eigenvalues and eps are rational.
+    The Weingarten sum of Wg(sigma tau^-1) p_tau(l) over tau and the sigma
+    with rows[m] = cols[sigma(m)] convolves class functions, so it is
+    (eps^k / k!) sum_lam w_lam s_lam(l) on characters, w_lam = chi^lam(1)
+    sum_sigma chi^lam(sigma) / s_lam(1^n).  The w_lam are cached by the
+    pattern of the pairs (rows, then columns, relabelled by first
+    appearance); a mixture is averaged atom by atom.  Exact (Fraction)
+    whenever the eigenvalues and eps are rational.
     """
     k = len(pairs)
     if k == 0:
         return Fraction(1)
     n = spec.n
-    wg = weingarten_table(k, n)           # guards k and n
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
-    if any(not 0 <= v < n for v in rows + cols):
+    label: dict = {}
+    pattern = tuple(label.setdefault(x, len(label))
+                    for x in [i for i, _ in pairs] + [j for _, j in pairs])
+    weights = _pattern_weights(pattern, n)                 # guards k and n
+    if any(not 0 <= v < n for pair in pairs for v in pair):
         raise ValueError("entry indices out of range")
-    perms, types, quotient = _symmetric_group(k)
-    matches = [a for a, s in enumerate(perms)
-               if all(rows[m] == cols[s.images[m]] for m in range(k))]
-    if not matches:
+    if not weights:
         return Fraction(0)
-    wg_of = [wg.values[t] for t in types]
-    tau_weight = {}
-    for tau in range(len(perms)):
-        w = Fraction(0)
-        for sigma in matches:
-            w += wg_of[quotient[sigma][tau]]
-        if w:
-            tau_weight[tau] = w
-    total = 0
-    for atom_index, (eigs, prob) in enumerate(spec.atoms):
-        psums = {}
-        atom_total = 0
-        for tau, w in tau_weight.items():
-            term = w
-            for c in types[tau]:
-                if c not in psums:
-                    psums[c] = spec.atom_power_sum(atom_index, c)
-                term = term * psums[c]
-            atom_total = atom_total + term
-        total = total + prob * atom_total
+    total = sum(prob * sum(w * s for w, s in zip(weights, _schur_values(eigs, k)))
+                for eigs, prob in spec.atoms)
     return total * spec.eps ** k

@@ -1,10 +1,12 @@
 """Independent reference computations that the tests check fast paths
 against; no code in `src` calls them."""
 
+import itertools
 from fractions import Fraction
 
-from hofree import repunitary
+from hofree import repunitary, rmt
 from hofree.errors import InvariantError
+from hofree.partperm import Permutation
 from hofree.repunitary import ShiftedWeight, WeightedDecomposition, weyl_dimension
 
 
@@ -21,6 +23,39 @@ def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
         power = [[sum(power[i][t] * m[t][j] for t in range(n))
                   for j in range(n)] for i in range(n)]
     return Fraction(sum(sum(row) for row in power), n)
+
+
+def entry_moment_by_weingarten_sum(spec: rmt.EnsembleSpec, pairs) -> Fraction:
+    """E[X_{i1 j1} ... X_{ik jk}] for X = eps * U diag(l) U* by the
+    Weingarten double sum over sigma, tau in S_k of Wg(sigma tau^-1)
+    p_tau(l), sigma running over the matches rows[m] = cols[sigma(m)]: the
+    enumeration that `rmt.exact_entry_moment` diagonalises on characters."""
+    k = len(pairs)
+    if k == 0:
+        return Fraction(1)
+    wg = rmt.weingarten_table(k, spec.n)
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    perms = list(itertools.permutations(range(k)))
+    matches = [s for s in perms if all(rows[m] == cols[s[m]] for m in range(k))]
+    if not matches:
+        return Fraction(0)
+    tau_weight = {}
+    for tau in perms:
+        inverse = sorted(range(k), key=tau.__getitem__)
+        w = sum(wg.of_permutation(tuple(s[j] for j in inverse)) for s in matches)
+        if w:
+            tau_weight[tau] = w
+    total = 0
+    for eigs, prob in spec.atoms:
+        atom_total = 0
+        for tau, w in tau_weight.items():
+            term = w
+            for c in Permutation(tau).cycle_type():
+                term = term * sum(x ** c for x in eigs)
+            atom_total = atom_total + term
+        total = total + prob * atom_total
+    return total * spec.eps ** k
 
 
 def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction]]:

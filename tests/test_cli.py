@@ -226,6 +226,8 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
     no_schedule.write_text(json.dumps({"schedule": []}))
     no_sizes = tmp_path / "no_sizes.json"
     no_sizes.write_text(json.dumps({"schedule": [], "corner_sizes": []}))
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"amplitude": 1e999}')      # parses to inf
     out = tmp_path / "out"
     for command, message in (
             (["--config", str(no_schedule), "tensor"], "schedule is empty"),
@@ -245,7 +247,19 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
             (["simulate", "--spectrum", "1,0,-1", "--powers", "1,0",
               "--replicas", "10"], "powers must be at least 1"),
             (["spectral", "--l", "2,0", "--order", "-2"], "--order must be"),
-            (["spectral", "--l", "2,0", "--order", "0"], "--order must be")):
+            (["spectral", "--l", "2,0", "--order", "0"], "--order must be"),
+            # non-finite or overflowing inputs: no OverflowError, no scaled
+            # columns of 0.0
+            (["restrict", "--amplitude", "inf"], "must be finite"),
+            (["tensor", "--amplitude", "inf"], "must be finite"),
+            (["tensor", "--row-amplitude", "inf"], "must be finite"),
+            (["--config", str(infinite), "restrict"], "must be finite"),
+            (["restrict", "--eps-exponent", "inf"], "must be finite"),
+            (["tensor", "--eps-exponent", "nan"], "must be finite"),
+            (["simulate", "--spectrum", "1e400", "--replicas", "2"],
+             "must fit in a float"),
+            (["simulate", "--spectrum", "1,0", "--eps", "1e400",
+              "--replicas", "2"], "must fit in a float")):
         code = main(["--out", str(out), *command])
         captured = capsys.readouterr()
         assert code == 2, command

@@ -49,6 +49,10 @@ def test_config_validation():
     for order in (0, -1):
         with pytest.raises(ValueError, match="max order must be at least 1"):
             ExperimentConfig(max_order=order)
+    for key in ("eps_exponent", "amplitude", "row_amplitude"):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="must be finite"):
+                ExperimentConfig(**{key: bad})
     config = ExperimentConfig(schedule=(2, 4))
     assert config.eps(4) == 4 ** -1.5
 

@@ -100,8 +100,8 @@ def hof_check_spectra(n):
 
 
 def test_kappa_exact_shared_moments_match_per_permutation_tables():
-    # one moment memo for all k! permutations against a table built per pi
-    # with no memo
+    # kappa_exact's table, whose entry moments rmt shares by index pattern,
+    # against tables built per pi
     for n in (4, 5):
         for spec in hof_check_spectra(n):
             for k in range(1, 5):
@@ -114,8 +114,8 @@ def test_kappa_exact_shared_moments_match_per_permutation_tables():
 
 
 def test_exact_entry_moment_is_invariant_under_index_relabelling():
-    # the moment memo keys on which indices coincide, so one relabelling of
-    # rows and columns together must leave every moment unchanged
+    # rmt caches entry-moment weights by which indices coincide, so one
+    # relabelling of rows and columns together must leave every moment unchanged
     rng = random.Random(16)
     for spec in hof_check_spectra(5):
         for _ in range(40):

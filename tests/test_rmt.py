@@ -1,5 +1,8 @@
 import itertools
+import math
+import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 
 from hofree import rmt
 from hofree.errors import GuardError
+from hofree.partperm import integer_partitions
+from hofree.repunitary import ShiftedWeight, weyl_dimension
 from hofree.rmt import (
     EnsembleSpec,
     WEINGARTEN_MAX_ORDER,
@@ -20,6 +25,7 @@ from hofree.rmt import (
     trace_statistics,
     weingarten_table,
 )
+from oracles import entry_moment_by_weingarten_sum
 
 
 def test_haar_unitary_is_unitary():
@@ -331,6 +337,79 @@ def test_weingarten_guards():
         weingarten_table(3, 2)
     with pytest.raises(GuardError):
         weingarten_table(WEINGARTEN_MAX_ORDER + 1, 20)
+
+
+def _z(mu):
+    return math.prod(c ** m * math.factorial(m) for c, m in Counter(mu).items())
+
+
+def test_character_orthogonality():
+    # sum_mu chi^lam(mu) chi^nu(mu) / z_mu = [lam = nu]
+    for k in range(1, 7):
+        classes = integer_partitions(k)
+        for lam, nu in itertools.product(classes, repeat=2):
+            total = sum(Fraction(rmt._character(lam, mu) * rmt._character(nu, mu),
+                                 _z(mu)) for mu in classes)
+            assert total == (lam == nu), (lam, nu)
+
+
+def test_schur_dimension_is_the_weyl_dimension():
+    for k in range(1, 6):
+        for lam in integer_partitions(k):
+            for n in range(1, 8):
+                if len(lam) > n:
+                    assert rmt._schur_dimension(lam, n) == 0
+                    continue
+                weight = ShiftedWeight.from_highest_weight(lam + (0,) * (n - len(lam)))
+                assert rmt._schur_dimension(lam, n) == weyl_dimension(weight), (lam, n)
+
+
+def test_entry_moment_of_one_haar_entry():
+    # X = U diag(1, 0, ..., 0) U* has X_00 = |U_00|^2, and
+    # E |U_00|^(2k) = k! (n - 1)! / (n + k - 1)!
+    for n in range(1, 8):
+        spec = EnsembleSpec.fixed((1,) + (0,) * (n - 1))
+        for k in range(1, min(n, 5) + 1):
+            want = Fraction(math.factorial(k) * math.factorial(n - 1),
+                            math.factorial(n + k - 1))
+            assert exact_entry_moment(spec, [(0, 0)] * k) == want, (n, k)
+
+
+def test_entry_moment_matches_the_weingarten_double_sum():
+    # the character formula against the sigma, tau enumeration it replaced;
+    # the columns are a shuffle of the rows, so most patterns are nonzero
+    rng = random.Random(17)
+    cases = nonzero = 0
+    for k in range(1, 6):
+        for n in range(k, 8):
+            for case in range(14):
+                rows = [rng.randrange(n) for _ in range(k)]
+                pairs = list(zip(rows, rng.sample(rows, k)))
+                atoms = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(n)] for _ in range(2)]
+                if case % 2:
+                    spec = EnsembleSpec.mixture(
+                        zip(atoms, (Fraction(1, 3), Fraction(2, 3))),
+                        eps=Fraction(2, 3))
+                else:
+                    spec = EnsembleSpec.fixed(atoms[0], eps=Fraction(2, 3))
+                exact = exact_entry_moment(spec, pairs)
+                assert exact == entry_moment_by_weingarten_sum(spec, pairs), \
+                    (spec, pairs)
+                cases += 1
+                nonzero += exact != 0
+    assert cases >= 300 and nonzero >= cases // 2
+    # with a float spectrum the two summation orders differ in the last bits:
+    # agreement to 1e-12 of the value, or of the scale max|l|^k near zero
+    for k in range(1, 6):
+        for n in range(k, 8):
+            rows = [rng.randrange(n) for _ in range(k)]
+            pairs = list(zip(rows, rng.sample(rows, k)))
+            spec = EnsembleSpec.fixed([rng.uniform(-2, 2) for _ in range(n)])
+            exact = exact_entry_moment(spec, pairs)
+            assert isinstance(exact, float)
+            assert math.isclose(exact, entry_moment_by_weingarten_sum(spec, pairs),
+                                rel_tol=1e-12, abs_tol=1e-12 * 2 ** k), (spec, pairs)
 
 
 def test_entry_moment_first_order():
