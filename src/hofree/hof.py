@@ -9,7 +9,6 @@ terms survive the large-n limit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +31,8 @@ from .partperm import (
     SetPartition,
     _num_cycles,
     contiguous_cycles,
-    leq_pp,  # unused here; the benchmark tracer's self-test reads hof.leq_pp
+    integer_partitions,
+    leq_pp,  # unused; bench/tests/test_bench.py checks the tracer wraps it
     partitioned_permutations,
 )
 
@@ -67,16 +67,27 @@ class KappaTable:
 
 
 def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
-    """Exact table of entry cumulants indexed by partitioned permutations."""
+    """Exact table of entry cumulants indexed by partitioned permutations.
+
+    One table per cycle type mu, at rho = contiguous_cycles(*mu): X and SXS*
+    have the same law for every permutation matrix S, so for pi = s rho s^-1
+    kappa_(V,pi) is rho's value at s^-1 V, for every ensemble."""
     if not 1 <= k <= KAPPA_MAX_ORDER:
         raise GuardError(f"exact kappa tables are limited to k <= {KAPPA_MAX_ORDER}")
     if spec.n < k:
         raise GuardError(
             f"entry patterns need n >= k (n = {spec.n}, k = {k}); refusing")
-    tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)])
-              for pi in map(Permutation, itertools.permutations(range(k)))}
-    values = {vp: tables[vp.permutation].value(vp.partition)
-              for vp in partitioned_permutations(k)}
+    tables = {mu: entry_cumulants(
+                  spec, list(enumerate(contiguous_cycles(*mu).images)))
+              for mu in integer_partitions(k)}
+    values = {}
+    for vp in partitioned_permutations(k):
+        pi = vp.permutation
+        # s lays pi's cycles, longest first, over rho's 0..k-1 in order
+        s = sum(sorted(pi.cycles(), key=len, reverse=True), ())
+        moved = SetPartition.from_blocks(  # s^-1 V
+            k, [[s.index(m) for m in blk] for blk in vp.partition.blocks()])
+        values[vp] = tables[pi.cycle_type()].value(moved)
     return KappaTable(order=k, n=spec.n, values=values)
 
 

@@ -90,6 +90,13 @@ def test_hof_check_passes_and_guards(capsys):
         assert out == ""
         assert "must lie in" in err
 
+    # a repeated size used to print each of its rows twice
+    code, out, err = run_cli(capsys, "hof-check", "--n", "4,4",
+                             "--max-order", "2", "--inequality-order", "2")
+    assert code == 2
+    assert out == ""
+    assert "must not repeat" in err
+
 
 def test_simulate_deterministic_and_formats(tmp_path, capsys):
     args = ["--seed", "9", "--out", str(tmp_path / "a"), "simulate",

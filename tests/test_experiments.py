@@ -104,12 +104,16 @@ def test_hof_check_report_structure():
         hof_check((3,), max_order=5)
     with pytest.raises(ValueError):
         hof_check((3,), inequality_order=7)
+    with pytest.raises(ValueError, match="must not repeat"):
+        hof_check((3, 4, 3), max_order=2, inequality_order=2)
 
 
 def test_hof_check_equals_the_per_pattern_report():
     # the report built the old way: one kappa table per pattern, and the
-    # enumeration of partitioned permutations repeated for every cycle type
-    ns, max_order, inequality_order = (3, 4), 3, 5
+    # enumeration of partitioned permutations repeated for every cycle type,
+    # with leq_pp and scaling_exponent called on every (V, pi, gamma); the
+    # inequality order is the benchmark workload's, 6
+    ns, max_order, inequality_order = (3, 4), 3, 6
     expected = {"identity": [], "triangle": [], "all_passed": True}
     for n in ns:
         top = tuple(range(n, 0, -1))

@@ -71,15 +71,32 @@ def test_kappa_exact_is_the_product_of_block_cumulants():
             assert value == expected
 
 
+def per_permutation_kappa(spec, k):
+    # kappa_(V,pi) from one entry-cumulant table per permutation pi
+    tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)])
+              for pi in map(Permutation, itertools.permutations(range(k)))}
+    return {vp: tables[vp.permutation].value(vp.partition)
+            for vp in partitioned_permutations(k)}
+
+
+def assert_constant_on_classes(values):
+    by_class = {}
+    for vp, value in values.items():
+        by_class.setdefault(conjugacy_key(vp), set()).add(value)
+    for key, seen in by_class.items():
+        assert len(seen) == 1, key
+
+
 def test_kappa_constant_on_conjugacy_classes():
     for spec in (FIXED, MIXED):
         for k in (2, 3):
-            table = kappa_exact(spec, k)
-            by_class = {}
-            for vp, value in table.items():
-                by_class.setdefault(conjugacy_key(vp), set()).add(value)
-            for values in by_class.values():
-                assert len(values) == 1
+            assert_constant_on_classes(kappa_exact(spec, k).values)
+    # kappa_exact reads every pi off one table per cycle type, so it is
+    # class-invariant by construction: the invariance it relies on is
+    # checked on tables built per permutation
+    for spec in hof_check_spectra(4):
+        for k in range(1, 5):
+            assert_constant_on_classes(per_permutation_kappa(spec, k))
 
 
 def test_kappa_guards():
@@ -100,16 +117,13 @@ def hof_check_spectra(n):
 
 
 def test_kappa_exact_shared_moments_match_per_permutation_tables():
-    # kappa_exact's table, whose entry moments rmt shares by index pattern,
-    # against tables built per pi
-    for n in (4, 5):
+    # kappa_exact's table, one entry-cumulant table per cycle type with the
+    # entry moments rmt shares by index pattern, against tables built per
+    # pi, at every size the benchmark workload checks
+    for n in range(4, 9):
         for spec in hof_check_spectra(n):
             for k in range(1, 5):
-                tables = {pi: entry_cumulants(spec, [(m, pi(m)) for m in range(k)])
-                          for pi in map(Permutation,
-                                        itertools.permutations(range(k)))}
-                expected = {vp: tables[vp.permutation].value(vp.partition)
-                            for vp in partitioned_permutations(k)}
+                expected = per_permutation_kappa(spec, k)
                 assert kappa_exact(spec, k).values == expected, (n, k)
 
 
