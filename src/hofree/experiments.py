@@ -21,13 +21,12 @@ import numpy as np
 from . import hof, rmt
 from .freeprob import free_compress, free_convolve
 from .partperm import (
-    SetPartition,
     _join_cycles,
     _num_cycles,
+    _partperm_tuples,
     contiguous_cycles,
     integer_partitions,
     leq_pp,  # unused; bench/tests/test_bench.py checks the tracer wraps it
-    partitioned_permutations,
 )
 from .repunitary import (
     ShiftedWeight,
@@ -89,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("schedule must be strictly increasing")
         if any(n < 1 for n in self.schedule + self.corner_sizes):
             raise ValueError("schedule and corner sizes must be at least 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2^64); got {self.seed}")
         if self.max_order < 1:
             raise ValueError(f"max order must be at least 1; got {self.max_order}")
         if not 0 < self.alpha <= 1:
@@ -262,31 +263,31 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
                         "equal": ok,
                     })
     for k in range(1, inequality_order + 1):
-        full = SetPartition.full(k).block_of
-        gammas = [contiguous_cycles(*c) for c in integer_partitions(k)]
-        tops = [g.length() + 2 * (g.num_cycles() - 1) for g in gammas]  # |(1, g)|
+        full = (0,) * k
+        gammas = [contiguous_cycles(*c).images for c in integer_partitions(k)]
+        tops = [k + len(c) - 2 for c in integer_partitions(k)]  # |(1, gamma)|
         checked, holds = 0, True
         # V v C(gamma) = 1 does not depend on pi: one join per (V, gamma)
         connected: dict = {}
-        # #(pi^-1 gamma), #(gamma pi^-1) for every gamma: one row per pi
+        # per pi, as bytes: pi^-1, then #(pi^-1 gamma), #(gamma pi^-1) per gamma
         counts: dict = {}
         # one streamed sweep per k: the enumeration is never held in memory
-        for vp in partitioned_permutations(k):
-            v, pi = vp.partition, vp.permutation
-            if v not in connected:
-                connected[v] = [_join_cycles(v.block_of, g.images) == full
-                                for g in gammas]
-            inv = pi.inverse().images
-            if pi.images not in counts:
-                counts[pi.images] = bytes(c for g in gammas for c in (
-                    _num_cycles([inv[j] for j in g.images]),
-                    _num_cycles([g.images[j] for j in inv])))
-            row, length = counts[pi.images], vp.length()
-            for gamma, top, joins, sigma_cycles, step_cycles in zip(
-                    gammas, tops, connected[v], row[0::2], row[1::2]):
+        for block_of, images, length in _partperm_tuples(k):
+            if block_of not in connected:
+                connected[block_of] = [_join_cycles(block_of, g) == full
+                                       for g in gammas]
+            if images not in counts:
+                inv = sorted(range(k), key=images.__getitem__)
+                counts[images] = bytes(inv) + bytes(c for g in gammas for c in (
+                    _num_cycles([inv[j] for j in g]),
+                    _num_cycles([g[j] for j in inv])))
+            row = counts[images]
+            inv = row[:k]
+            for g, top, joins, sigma_cycles, step_cycles in zip(
+                    gammas, tops, connected[block_of], row[k::2], row[k + 1::2]):
                 # leq_pp(vp, (1, gamma)): lengths add up, V v C(pi^-1 gamma) = 1
                 below = (length + k - sigma_cycles == top and _join_cycles(
-                    v.block_of, [inv[j] for j in gamma.images]) == full)
+                    block_of, [inv[j] for j in g]) == full)
                 if not joins:
                     holds &= not below
                     continue

@@ -9,8 +9,8 @@ terms survive the large-n limit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .partperm import (
     PartitionedPermutation,
     Permutation,
     SetPartition,
+    _join_cycles,
     _num_cycles,
     contiguous_cycles,
     integer_partitions,
@@ -66,6 +67,21 @@ class KappaTable:
         return self.values.items()
 
 
+@functools.lru_cache(maxsize=KAPPA_MAX_ORDER)
+def _orbits(k: int) -> tuple:
+    """Every (V, pi) of order k with its class (mu, s^-1 V), where
+    pi = s rho s^-1: the spectrum-free part of `kappa_exact`."""
+    members = []
+    for vp in partitioned_permutations(k):
+        pi = vp.permutation
+        # s lays pi's cycles, longest first, over rho's 0..k-1 in order
+        s = sum(sorted(pi.cycles(), key=len, reverse=True), ())
+        moved = SetPartition.from_blocks(  # s^-1 V
+            k, [[s.index(m) for m in blk] for blk in vp.partition.blocks()])
+        members.append((vp, (pi.cycle_type(), moved)))
+    return tuple(members)
+
+
 def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     """Exact table of entry cumulants indexed by partitioned permutations.
 
@@ -80,15 +96,11 @@ def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     tables = {mu: entry_cumulants(
                   spec, list(enumerate(contiguous_cycles(*mu).images)))
               for mu in integer_partitions(k)}
-    values = {}
-    for vp in partitioned_permutations(k):
-        pi = vp.permutation
-        # s lays pi's cycles, longest first, over rho's 0..k-1 in order
-        s = sum(sorted(pi.cycles(), key=len, reverse=True), ())
-        moved = SetPartition.from_blocks(  # s^-1 V
-            k, [[s.index(m) for m in blk] for blk in vp.partition.blocks()])
-        values[vp] = tables[pi.cycle_type()].value(moved)
-    return KappaTable(order=k, n=spec.n, values=values)
+    members = _orbits(k)
+    kappas = {c: tables[c[0]].value(c[1]) for c in dict.fromkeys(
+        c for _, c in members)}
+    return KappaTable(order=k, n=spec.n,
+                      values={vp: kappas[c] for vp, c in members})
 
 
 def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
@@ -123,27 +135,33 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
             for vp, v, se in zip(targets, point, stderr)}
 
 
+@functools.lru_cache(maxsize=32)
+def _assembly_terms(powers: tuple[int, ...]) -> tuple:
+    """The spectrum-free part of `macro_from_micro`: (a member of a class,
+    e, the number of its (V, pi) with V v C(gamma) = 1 and #(gamma pi^-1) = e)."""
+    gamma = contiguous_cycles(*powers).images
+    full = (0,) * len(gamma)
+    reps, counts = {}, {}
+    for vp, c in _orbits(len(gamma)):
+        if _join_cycles(vp.partition.block_of, gamma) == full:
+            inv = sorted(range(len(gamma)), key=vp.permutation.images.__getitem__)
+            e = _num_cycles([gamma[j] for j in inv])
+            counts[c, e] = counts.get((c, e), 0) + 1
+            reps.setdefault(c, vp)
+    return tuple((reps[c], e, m) for (c, e), m in counts.items())
+
+
 def macro_from_micro(table: KappaTable, powers: Sequence[int]):
     """Assemble k_l(Tr X^{p_1}, ..., Tr X^{p_l}) from the entry-cumulant
     table: the sum of kappa_(V,pi) n^(#(gamma pi^-1)) over (V,pi) whose
-    partition joins with the cycles of gamma to the full partition."""
+    partition joins with the cycles of gamma to the full partition, read
+    once per class (mu, s^-1 V), on which every `kappa_exact` table is constant."""
     powers = tuple(powers)
-    k = sum(powers)
-    if k != table.order:
-        raise ValueError(f"pattern {powers} needs a table of order {k}")
-    gamma = contiguous_cycles(*powers)
-    gamma_part = gamma.cycle_partition()
-    full = SetPartition.full(k)
-    n = table.n
+    if sum(powers) != table.order:
+        raise ValueError(f"pattern {powers} needs a table of order {sum(powers)}")
     total = 0
-    for vp, kappa in table.items():
-        if kappa == 0:
-            continue
-        if vp.partition.join(gamma_part) != full:
-            continue
-        inv = vp.permutation.inverse().images
-        cycles = _num_cycles([gamma.images[j] for j in inv])
-        total = total + kappa * Fraction(n) ** cycles
+    for rep, e, m in _assembly_terms(powers):
+        total = total + table.values[rep] * (m * table.n ** e)
     return total
 
 

@@ -429,8 +429,9 @@ def contiguous_cycles(*lengths: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def partitioned_permutations(k: int) -> Iterator[PartitionedPermutation]:
-    """All (V, pi) on {0..k-1}, lexicographic in (canonical V, one-line pi)."""
+def _partperm_tuples(k: int) -> Iterator[tuple]:
+    """(V.block_of, pi.images, |(V, pi)| = k + #pi - 2 #V) of every (V, pi)
+    on {0..k-1}, in `partitioned_permutations` order, building no object per pair."""
     if k > ENUMERATION_LIMIT:
         raise GuardError(
             f"enumeration of partitioned permutations is limited to "
@@ -446,4 +447,10 @@ def partitioned_permutations(k: int) -> Iterator[PartitionedPermutation]:
                     images[src] = dst
             perms.append(tuple(images))
         for images in sorted(perms):
-            yield PartitionedPermutation(v, Permutation(images))
+            yield v.block_of, images, k + _num_cycles(images) - 2 * len(blocks)
+
+
+def partitioned_permutations(k: int) -> Iterator[PartitionedPermutation]:
+    """All (V, pi) on {0..k-1}, lexicographic in (canonical V, one-line pi)."""
+    for block_of, images, _ in _partperm_tuples(k):
+        yield PartitionedPermutation(SetPartition(block_of), Permutation(images))

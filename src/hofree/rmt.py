@@ -43,7 +43,9 @@ EIGENVALUE_RESIDUAL_TOL = 1e-10
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """Counter-based stream for one replica; streams are independent."""
-    key = np.array([seed % 2 ** 64, replica % 2 ** 64], dtype=np.uint64)
+    if not (0 <= seed < 2 ** 64 and 0 <= replica < 2 ** 64):
+        raise ValueError(f"seed and replica must lie in [0, 2^64): {seed}, {replica}")
+    key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -4,9 +4,16 @@ against; no code in `src` calls them."""
 import itertools
 from fractions import Fraction
 
-from hofree import repunitary, rmt
+from hofree import hof, repunitary, rmt
 from hofree.errors import InvariantError
-from hofree.partperm import Permutation
+from hofree.partperm import (
+    Permutation,
+    SetPartition,
+    _num_cycles,
+    contiguous_cycles,
+    integer_partitions,
+    partitioned_permutations,
+)
 from hofree.repunitary import ShiftedWeight, WeightedDecomposition, weyl_dimension
 
 
@@ -56,6 +63,41 @@ def entry_moment_by_weingarten_sum(spec: rmt.EnsembleSpec, pairs) -> Fraction:
             atom_total = atom_total + term
         total = total + prob * atom_total
     return total * spec.eps ** k
+
+
+def kappa_by_pair(spec: rmt.EnsembleSpec, k: int) -> dict:
+    """kappa_(V,pi) for every (V, pi), in enumeration order, read off one
+    entry-cumulant table per cycle type mu: for pi = s rho s^-1 (rho =
+    contiguous_cycles(*mu)) it is rho's value at s^-1 V, with s and s^-1 V
+    built for every pair, where `hof.kappa_exact` reads each class once."""
+    tables = {mu: hof.entry_cumulants(
+                  spec, list(enumerate(contiguous_cycles(*mu).images)))
+              for mu in integer_partitions(k)}
+    values = {}
+    for vp in partitioned_permutations(k):
+        pi = vp.permutation
+        s = sum(sorted(pi.cycles(), key=len, reverse=True), ())
+        moved = SetPartition.from_blocks(
+            k, [[s.index(m) for m in blk] for blk in vp.partition.blocks()])
+        values[vp] = tables[pi.cycle_type()].value(moved)
+    return values
+
+
+def macro_by_pair(values: dict, n: int, powers):
+    """The sum of kappa_(V,pi) n^(#(gamma pi^-1)) over every (V, pi) of
+    `values` whose partition joins with the cycles of gamma to the full
+    partition, one join and one cycle count per pair, where
+    `hof.macro_from_micro` sums one term per distinct (class, cycle count)."""
+    gamma = contiguous_cycles(*powers)
+    full = SetPartition.full(sum(powers))
+    total = 0
+    for vp, kappa in values.items():
+        if kappa == 0 or vp.partition.join(gamma.cycle_partition()) != full:
+            continue
+        inv = vp.permutation.inverse().images
+        cycles = _num_cycles([gamma.images[j] for j in inv])
+        total = total + kappa * Fraction(n) ** cycles
+    return total
 
 
 def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction]]:

@@ -2,12 +2,16 @@ import csv
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from hofree import rmt
 from hofree.cli import main
 from hofree.experiments import RESTRICTION_AMPLITUDE, TENSOR_BULK_AMPLITUDE
+
+HOF_CHECK_REFERENCE = (Path(__file__).resolve().parents[1] / "bench"
+                       / "reference" / "hof_check" / "stdout.txt")
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +229,16 @@ def test_invalid_eps_exponent_rejected(tmp_path, capsys):
     assert "o(1/n)" in err
 
 
+def test_hof_check_matches_the_benchmark_reference(capsys):
+    # the benchmark workload's arguments; the report must not drift from
+    # the committed reference by a single byte
+    code, out, err = run_cli(capsys, "--seed", "1", "hof-check",
+                             "--n", "4,5,6,7,8", "--max-order", "4",
+                             "--inequality-order", "6")
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == HOF_CHECK_REFERENCE.read_bytes()
+
+
 def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
     # refused at the boundary: exit 2, no traceback, nothing written
     path = tmp_path / "config.json"
@@ -235,6 +249,8 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
     no_sizes.write_text(json.dumps({"schedule": [], "corner_sizes": []}))
     infinite = tmp_path / "infinite.json"
     infinite.write_text('{"amplitude": 1e999}')      # parses to inf
+    negative_seed = tmp_path / "negative_seed.json"
+    negative_seed.write_text(json.dumps({"seed": -1}))
     out = tmp_path / "out"
     for command, message in (
             (["--config", str(no_schedule), "tensor"], "schedule is empty"),
@@ -266,7 +282,16 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
             (["simulate", "--spectrum", "1e400", "--replicas", "2"],
              "must fit in a float"),
             (["simulate", "--spectrum", "1,0", "--eps", "1e400",
-              "--replicas", "2"], "must fit in a float")):
+              "--replicas", "2"], "must fit in a float"),
+            # seeds outside [0, 2^64) used to be reduced mod 2^64 (2^64 + 1
+            # ran seed 1) or to fail late inside numpy
+            (["--seed", "-1", "restrict"], "seed must lie in [0, 2^64)"),
+            (["--seed", str(2 ** 64 + 1), "restrict"],
+             "seed must lie in [0, 2^64)"),
+            (["--seed", "-1", "simulate", "--spectrum", "1,0,-1"],
+             "seed must lie in [0, 2^64)"),
+            (["--config", str(negative_seed), "restrict"],
+             "seed must lie in [0, 2^64)")):
         code = main(["--out", str(out), *command])
         captured = capsys.readouterr()
         assert code == 2, command

@@ -53,6 +53,10 @@ def test_config_validation():
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="must be finite"):
                 ExperimentConfig(**{key: bad})
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
     config = ExperimentConfig(schedule=(2, 4))
     assert config.eps(4) == 4 ** -1.5
 

@@ -26,6 +26,8 @@ from hofree.partperm import (
 )
 from hofree.rmt import EnsembleSpec, exact_entry_moment
 
+from oracles import kappa_by_pair, macro_by_pair
+
 
 FIXED = EnsembleSpec.fixed((3, 1, 0, -2), eps=Fraction(1, 2))
 MIXED = EnsembleSpec.mixture([((3, 1, 0, -2), Fraction(1, 3)),
@@ -125,6 +127,41 @@ def test_kappa_exact_shared_moments_match_per_permutation_tables():
             for k in range(1, 5):
                 expected = per_permutation_kappa(spec, k)
                 assert kappa_exact(spec, k).values == expected, (n, k)
+
+
+def compositions(k):
+    # every ordered pattern of positive powers summing to k
+    if k == 0:
+        yield ()
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
+
+
+def test_kappa_and_assembly_match_the_per_pair_loops():
+    # kappa_exact and macro_from_micro read a plan made once per order;
+    # the loops over every (V, pi) that they replaced are the oracle, for
+    # every pattern of order <= 4 at every size the benchmark checks
+    for n in range(4, 9):
+        for spec in hof_check_spectra(n):
+            for k in range(1, 5):
+                table, expected = kappa_exact(spec, k), kappa_by_pair(spec, k)
+                assert list(table.items()) == list(expected.items()), (n, k)
+                for powers in compositions(k):
+                    assert (macro_from_micro(table, powers)
+                            == macro_by_pair(expected, n, powers)), (n, powers)
+    # float eigenvalues and eps: the same values up to rounding, relative
+    floats = EnsembleSpec.mixture([((1.25, -0.5, 0.75, 2.0, -1.5), 0.25),
+                                   ((0.1, 0.2, -2.3, 1.7, 0.4), 0.75)], eps=0.3)
+    for k in range(1, 5):
+        table, expected = kappa_exact(floats, k), kappa_by_pair(floats, k)
+        assert list(table.values) == list(expected)
+        for vp, value in expected.items():
+            assert abs(table.value(vp) - value) <= 1e-12 * abs(value), vp
+        for powers in compositions(k):
+            want = macro_by_pair(expected, floats.n, powers)
+            got = macro_from_micro(table, powers)
+            assert abs(got - want) <= 1e-12 * abs(want), powers
 
 
 def test_exact_entry_moment_is_invariant_under_index_relabelling():

@@ -8,6 +8,7 @@ import pytest
 from hofree.errors import GuardError
 from hofree.partperm import (
     ENUMERATION_LIMIT,
+    _partperm_tuples,
     Permutation,
     PartitionedPermutation,
     SetPartition,
@@ -428,6 +429,26 @@ def test_enumeration_is_deterministic_unique_and_guarded():
     assert keys == sorted(keys)
     with pytest.raises(GuardError):
         next(partitioned_permutations(ENUMERATION_LIMIT + 1))
+
+
+def test_tuple_enumeration_is_the_partitioned_permutations():
+    # the tuples the triangle sweep streams are exactly the enumerated
+    # pairs, in order, with their lengths; and both are every (V, pi) with
+    # pi inside the blocks of V, sorted by (canonical V, one-line pi)
+    for k in range(1, 7):
+        tuples = list(_partperm_tuples(k))
+        assert tuples == [(vp.partition.block_of, vp.permutation.images,
+                           vp.length()) for vp in partitioned_permutations(k)]
+        brute = sorted(
+            (v.block_of, images,
+             Permutation(images).length()
+             + 2 * (Permutation(images).num_cycles() - v.num_blocks()))
+            for v in set_partitions(k)
+            for images in itertools.permutations(range(k))
+            if all(v.block_of[i] == v.block_of[j] for i, j in enumerate(images)))
+        assert tuples == brute, k
+    with pytest.raises(GuardError):
+        next(_partperm_tuples(ENUMERATION_LIMIT + 1))
 
 
 def test_value_types_built_from_lists_store_tuples():

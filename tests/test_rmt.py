@@ -35,6 +35,16 @@ def test_haar_unitary_is_unitary():
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-12
 
 
+def test_replica_rng_refuses_keys_outside_64_bits():
+    # a key is never reduced mod 2^64, so no two seeds share a stream
+    for seed, replica in ((-1, 0), (2 ** 64, 0), (2 ** 64 + 1, 0), (1, -1),
+                          (1, 2 ** 64)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            replica_rng(seed, replica)
+    top = replica_rng(2 ** 64 - 1, 2 ** 64 - 1).standard_normal(4)
+    assert not np.array_equal(top, replica_rng(1, 0).standard_normal(4))
+
+
 def test_haar_first_and_second_entry_moments():
     n, reps = 4, 20_000
     entries = np.empty(reps, dtype=complex)
