@@ -126,6 +126,14 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_rational(value) -> bool:
+    try:    # refuses "1/0", NaN, inf, and the str() of a bool, null or list
+        Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 # config-file keys: what each must be, and the check
 _CONFIG_SCHEMA = {
     "schedule": ("a list of integers", _is_int_list),
@@ -133,8 +141,8 @@ _CONFIG_SCHEMA = {
     "eps_exponent": ("a number", _is_number),
     "amplitude": ("a number", _is_number),
     "row_amplitude": ("a number", _is_number),
-    "alpha": ("a number or a rational string such as \"1/2\"",
-              lambda v: _is_number(v) or isinstance(v, str)),
+    "alpha": ("a finite rational: a number or a string such as \"1/2\"",
+              _is_rational),
     "replicas": ("an integer", _is_int),
     "max_order": ("an integer", _is_int),
     "seed": ("an integer", _is_int),
@@ -259,9 +267,6 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_hof_check(args) -> int:
-    for n in args.n:
-        if n < 1:
-            raise ValueError("matrix sizes must be positive")
     report = experiments.hof_check(args.n, max_order=args.max_order,
                                    inequality_order=args.inequality_order)
     print(json.dumps(report, indent=2))
@@ -273,6 +278,9 @@ def cmd_simulate(args) -> int:
     seed, replicas = config.seed, config.replicas
     if any(abs(x) > sys.float_info.max for x in (*args.spectrum, args.eps)):
         raise ValueError("the spectrum and eps must fit in a float")
+    # the output rows are keyed by power: a repeat would write each twice
+    if len(set(args.powers)) != len(args.powers):
+        raise ValueError(f"trace powers must not repeat; got {list(args.powers)}")
     spec = rmt.EnsembleSpec.fixed(args.spectrum, eps=args.eps)
     table = rmt.trace_statistics(spec, args.powers, replicas=replicas,
                                  seed=seed, threads=config.threads)

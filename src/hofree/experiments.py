@@ -12,6 +12,7 @@ default schedule while the enumerations stay desk-sized.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -78,7 +79,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         knobs = (self.eps_exponent, self.amplitude, self.row_amplitude)
-        if not np.isfinite(knobs).all():
+        # refuses NaN, infinities and integers no float holds
+        if not all(abs(x) <= sys.float_info.max for x in knobs):
             raise ValueError(f"eps exponent and amplitudes must be finite: {knobs}")
         if self.eps_exponent <= 1:
             raise ValueError(
@@ -236,6 +238,8 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
                          f"got {inequality_order}")
     if len(set(ns)) != len(ns):
         raise ValueError(f"matrix sizes must not repeat; got {list(ns)}")
+    if any(n < 1 for n in ns):
+        raise ValueError("matrix sizes must be positive")
     report = {"identity": [], "triangle": [], "all_passed": True}
     for n in ns:
         top = tuple(range(n, 0, -1))

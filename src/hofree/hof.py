@@ -10,6 +10,7 @@ terms survive the large-n limit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,6 @@ import numpy as np
 from . import rmt
 from .cumulants import (
     CumulantEstimate,
-    CumulantTable,
     MomentTable,
     bootstrap,
     moments_to_cumulants,
@@ -28,9 +28,9 @@ from .errors import GuardError
 from .partperm import (
     PartitionedPermutation,
     Permutation,
-    SetPartition,
     _join_cycles,
     _num_cycles,
+    conjugacy_key,
     contiguous_cycles,
     integer_partitions,
     leq_pp,  # unused; bench/tests/test_bench.py checks the tracer wraps it
@@ -38,17 +38,6 @@ from .partperm import (
 )
 
 KAPPA_MAX_ORDER = 4
-
-
-def entry_cumulants(spec: rmt.EnsembleSpec,
-                    pairs: Sequence[tuple[int, int]]) -> CumulantTable:
-    """Joint classical cumulants of the designated entries over every subset
-    of positions, exact through the Weingarten oracle; k_V of the entries is
-    .value(V), whether or not the pairing refines V."""
-    def moment(subset):
-        return rmt.exact_entry_moment(spec, [pairs[i] for i in subset])
-
-    return moments_to_cumulants(MomentTable.from_function(len(pairs), moment))
 
 
 @dataclass(frozen=True)
@@ -68,39 +57,46 @@ class KappaTable:
 
 
 @functools.lru_cache(maxsize=KAPPA_MAX_ORDER)
-def _orbits(k: int) -> tuple:
-    """Every (V, pi) of order k with its class (mu, s^-1 V), where
-    pi = s rho s^-1: the spectrum-free part of `kappa_exact`."""
-    members = []
-    for vp in partitioned_permutations(k):
-        pi = vp.permutation
-        # s lays pi's cycles, longest first, over rho's 0..k-1 in order
-        s = sum(sorted(pi.cycles(), key=len, reverse=True), ())
-        moved = SetPartition.from_blocks(  # s^-1 V
-            k, [[s.index(m) for m in blk] for blk in vp.partition.blocks()])
-        members.append((vp, (pi.cycle_type(), moved)))
-    return tuple(members)
+def _classes(k: int) -> tuple:
+    """Every (V, pi) of order k with its `conjugacy_key`, for every spectrum."""
+    return tuple((vp, conjugacy_key(vp)) for vp in partitioned_permutations(k))
 
 
 def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     """Exact table of entry cumulants indexed by partitioned permutations.
 
-    One table per cycle type mu, at rho = contiguous_cycles(*mu): X and SXS*
-    have the same law for every permutation matrix S, so for pi = s rho s^-1
-    kappa_(V,pi) is rho's value at s^-1 V, for every ensemble."""
+    A product of entries X_{i pi(i)} over positions S has mean 0 unless S
+    is a union of cycles of pi (else its row and column indices differ).  So
+    kappa_(V,pi) is the product over the blocks B of V of c(nu_B), the joint
+    cumulant of the cycle products of pi on B, of lengths nu_B; a joint
+    moment of cycle products of lengths tau is that of contiguous_cycles(*tau).
+
+    >>> from hofree.partperm import SetPartition
+    >>> spec = rmt.EnsembleSpec.fixed((2, 1, 0))
+    >>> rmt.exact_entry_moment(spec, [(0, 1), (1, 2)])     # a path, no cycle
+    Fraction(0, 1)
+    >>> m1, m11 = (rmt.exact_entry_moment(spec, [(0, 0), (1, 1)][:j]) for j in (1, 2))
+    >>> vp = PartitionedPermutation(SetPartition.full(2), Permutation.identity(2))
+    >>> kappa_exact(spec, 2).value(vp), m11 - m1 * m1      # c((1, 1))
+    (Fraction(-1, 12), Fraction(-1, 12))
+    """
     if not 1 <= k <= KAPPA_MAX_ORDER:
         raise GuardError(f"exact kappa tables are limited to k <= {KAPPA_MAX_ORDER}")
     if spec.n < k:
         raise GuardError(
             f"entry patterns need n >= k (n = {spec.n}, k = {k}); refusing")
-    tables = {mu: entry_cumulants(
-                  spec, list(enumerate(contiguous_cycles(*mu).images)))
-              for mu in integer_partitions(k)}
-    members = _orbits(k)
-    kappas = {c: tables[c[0]].value(c[1]) for c in dict.fromkeys(
-        c for _, c in members)}
+    moments = {tau: rmt.exact_entry_moment(
+                   spec, list(enumerate(contiguous_cycles(*tau).images)))
+               for j in range(1, k + 1) for tau in integer_partitions(j)}
+    # c(nu); a sub-multiset of nu, read in order, is again non-increasing
+    cumulants = {nu: moments_to_cumulants(MomentTable.from_function(
+                     len(nu), lambda s, nu=nu: moments[tuple(nu[i] for i in s)])).top()
+                 for nu in moments}
+    members = _classes(k)
+    kappas = {key: math.prod(map(cumulants.__getitem__, key))
+              for key in dict.fromkeys(key for _, key in members)}
     return KappaTable(order=k, n=spec.n,
-                      values={vp: kappas[c] for vp, c in members})
+                      values={vp: kappas[key] for vp, key in members})
 
 
 def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
@@ -142,46 +138,37 @@ def _assembly_terms(powers: tuple[int, ...]) -> tuple:
     gamma = contiguous_cycles(*powers).images
     full = (0,) * len(gamma)
     reps, counts = {}, {}
-    for vp, c in _orbits(len(gamma)):
+    for vp, key in _classes(len(gamma)):
         if _join_cycles(vp.partition.block_of, gamma) == full:
             inv = sorted(range(len(gamma)), key=vp.permutation.images.__getitem__)
             e = _num_cycles([gamma[j] for j in inv])
-            counts[c, e] = counts.get((c, e), 0) + 1
-            reps.setdefault(c, vp)
-    return tuple((reps[c], e, m) for (c, e), m in counts.items())
+            counts[key, e] = counts.get((key, e), 0) + 1
+            reps.setdefault(key, vp)
+    return tuple((reps[key], e, m) for (key, e), m in counts.items())
 
 
 def macro_from_micro(table: KappaTable, powers: Sequence[int]):
     """Assemble k_l(Tr X^{p_1}, ..., Tr X^{p_l}) from the entry-cumulant
     table: the sum of kappa_(V,pi) n^(#(gamma pi^-1)) over (V,pi) whose
     partition joins with the cycles of gamma to the full partition, read
-    once per class (mu, s^-1 V), on which every `kappa_exact` table is constant."""
+    once per conjugacy class, on which every `kappa_exact` table is constant."""
     powers = tuple(powers)
     if sum(powers) != table.order:
         raise ValueError(f"pattern {powers} needs a table of order {sum(powers)}")
-    total = 0
-    for rep, e, m in _assembly_terms(powers):
-        total = total + table.values[rep] * (m * table.n ** e)
-    return total
+    return sum(table.values[rep] * (m * table.n ** e)
+               for rep, e, m in _assembly_terms(powers))
 
 
 def trace_cumulant_direct(spec: rmt.EnsembleSpec, powers: Sequence[int]):
     """Classical joint cumulant of the traces (Tr X^{p_i}), straight from the
     finite spectrum mixture: for a given atom the traces are deterministic, so
     this is a cumulant of a finite discrete distribution."""
-    powers = tuple(powers)
-
-    def atom_trace(atom_index, p):
-        return spec.eps ** p * spec.atom_power_sum(atom_index, p)
+    traces = [[spec.eps ** p * spec.atom_power_sum(idx, p) for p in powers]
+              for idx in range(len(spec.atoms))]
 
     def joint(subset):
-        total = 0
-        for idx, (_, prob) in enumerate(spec.atoms):
-            term = prob
-            for i in subset:
-                term = term * atom_trace(idx, powers[i])
-            total = total + term
-        return total
+        return sum(math.prod((t[i] for i in subset), start=prob)
+                   for (_, prob), t in zip(spec.atoms, traces))
 
     table = MomentTable.from_function(len(powers), joint)
     return moments_to_cumulants(table).top()

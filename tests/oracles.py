@@ -4,7 +4,8 @@ against; no code in `src` calls them."""
 import itertools
 from fractions import Fraction
 
-from hofree import hof, repunitary, rmt
+from hofree import repunitary, rmt
+from hofree.cumulants import CumulantTable, MomentTable, moments_to_cumulants
 from hofree.errors import InvariantError
 from hofree.partperm import (
     Permutation,
@@ -65,12 +66,24 @@ def entry_moment_by_weingarten_sum(spec: rmt.EnsembleSpec, pairs) -> Fraction:
     return total * spec.eps ** k
 
 
+def entry_cumulants(spec: rmt.EnsembleSpec, pairs) -> CumulantTable:
+    """Joint classical cumulants of the designated entries over every subset
+    of positions, exact through the Weingarten oracle; k_V of the entries is
+    .value(V), whether or not the pairing refines V."""
+    def moment(subset):
+        return rmt.exact_entry_moment(spec, [pairs[i] for i in subset])
+
+    return moments_to_cumulants(MomentTable.from_function(len(pairs), moment))
+
+
 def kappa_by_pair(spec: rmt.EnsembleSpec, k: int) -> dict:
     """kappa_(V,pi) for every (V, pi), in enumeration order, read off one
-    entry-cumulant table per cycle type mu: for pi = s rho s^-1 (rho =
-    contiguous_cycles(*mu)) it is rho's value at s^-1 V, with s and s^-1 V
-    built for every pair, where `hof.kappa_exact` reads each class once."""
-    tables = {mu: hof.entry_cumulants(
+    entry-cumulant table per cycle type mu, over every subset of positions:
+    X and SXS* have the same law for every permutation matrix S, so for
+    pi = s rho s^-1 (rho = contiguous_cycles(*mu)) it is rho's value at
+    s^-1 V, with s and s^-1 V built for every pair.  `hof.kappa_exact`
+    takes one cumulant of cycle products per block type instead."""
+    tables = {mu: entry_cumulants(
                   spec, list(enumerate(contiguous_cycles(*mu).images)))
               for mu in integer_partitions(k)}
     values = {}

@@ -101,6 +101,14 @@ def test_hof_check_passes_and_guards(capsys):
     assert out == ""
     assert "must not repeat" in err
 
+    # a size below 1 used to reach eps = 1/0 inside the library
+    for n in ("0", "-1", "3,0"):
+        code, out, err = run_cli(capsys, "hof-check", "--n", n,
+                                 "--max-order", "2", "--inequality-order", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: matrix sizes must be positive\n"
+
 
 def test_simulate_deterministic_and_formats(tmp_path, capsys):
     args = ["--seed", "9", "--out", str(tmp_path / "a"), "simulate",
@@ -251,6 +259,8 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
     infinite.write_text('{"amplitude": 1e999}')      # parses to inf
     negative_seed = tmp_path / "negative_seed.json"
     negative_seed.write_text(json.dumps({"seed": -1}))
+    no_alpha = tmp_path / "no_alpha.json"
+    no_alpha.write_text(json.dumps({"alpha": "1/0"}))
     out = tmp_path / "out"
     for command, message in (
             (["--config", str(no_schedule), "tensor"], "schedule is empty"),
@@ -269,6 +279,9 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
               "--replicas", "10"], "powers must be at least 1"),
             (["simulate", "--spectrum", "1,0,-1", "--powers", "1,0",
               "--replicas", "10"], "powers must be at least 1"),
+            # a repeated power used to write each of its rows twice
+            (["simulate", "--spectrum", "1,0,-1", "--powers", "2,2",
+              "--replicas", "10"], "trace powers must not repeat"),
             (["spectral", "--l", "2,0", "--order", "-2"], "--order must be"),
             (["spectral", "--l", "2,0", "--order", "0"], "--order must be"),
             # non-finite or overflowing inputs: no OverflowError, no scaled
@@ -291,7 +304,10 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
             (["--seed", "-1", "simulate", "--spectrum", "1,0,-1"],
              "seed must lie in [0, 2^64)"),
             (["--config", str(negative_seed), "restrict"],
-             "seed must lie in [0, 2^64)")):
+             "seed must lie in [0, 2^64)"),
+            # used to end in a ZeroDivisionError traceback
+            (["--config", str(no_alpha), "restrict"],
+             "'alpha' must be a finite rational")):
         code = main(["--out", str(out), *command])
         captured = capsys.readouterr()
         assert code == 2, command
@@ -390,6 +406,10 @@ def test_config_file_schema_errors(tmp_path, capsys):
     for config, message in (({"schedule": 5}, "'schedule' must be a list"),
                             ({"schedul": [2, 4]}, "unknown keys ['schedul']"),
                             ({"replicas": 1.5}, "'replicas' must be an int"),
+                            # used to end in a ZeroDivisionError traceback
+                            ({"alpha": "1/0"}, "'alpha' must be a finite rational"),
+                            ({"alpha": "one half"},
+                             "'alpha' must be a finite rational"),
                             ([2, 4], "expected a JSON object")):
         path.write_text(json.dumps(config))
         code = main(["--out", str(tmp_path), "--config", str(path),

@@ -110,6 +110,10 @@ def test_hof_check_report_structure():
         hof_check((3,), inequality_order=7)
     with pytest.raises(ValueError, match="must not repeat"):
         hof_check((3, 4, 3), max_order=2, inequality_order=2)
+    # a size below 1 used to raise ZeroDivisionError (eps = 1/0) here
+    for ns in ((0,), (3, -1)):
+        with pytest.raises(ValueError, match="matrix sizes must be positive"):
+            hof_check(ns, max_order=2, inequality_order=2)
 
 
 def test_hof_check_equals_the_per_pattern_report():

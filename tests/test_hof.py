@@ -6,7 +6,6 @@ import pytest
 
 from hofree.errors import GuardError
 from hofree.hof import (
-    entry_cumulants,
     kappa_exact,
     kappa_mc,
     macro_from_micro,
@@ -20,13 +19,14 @@ from hofree.partperm import (
     SetPartition,
     conjugacy_key,
     contiguous_cycles,
+    integer_partitions,
     leq_pp,
     partitioned_permutations,
     set_partitions,
 )
 from hofree.rmt import EnsembleSpec, exact_entry_moment
 
-from oracles import kappa_by_pair, macro_by_pair
+from oracles import entry_cumulants, kappa_by_pair, macro_by_pair
 
 
 FIXED = EnsembleSpec.fixed((3, 1, 0, -2), eps=Fraction(1, 2))
@@ -162,6 +162,33 @@ def test_kappa_and_assembly_match_the_per_pair_loops():
             want = macro_by_pair(expected, floats.n, powers)
             got = macro_from_micro(table, powers)
             assert abs(got - want) <= 1e-12 * abs(want), powers
+
+
+def test_entry_moments_vanish_off_unions_of_cycles():
+    # the fact kappa_exact rests on: over positions S of rho =
+    # contiguous_cycles(*mu), the product of the X_{i rho(i)} has mean 0
+    # unless S is a union of cycles of rho (its row and column indices
+    # differ), and otherwise the mean of the contiguous cycles of its lengths
+    zeros = unions = 0
+    for spec in hof_check_spectra(5):
+        for k in range(1, 6):
+            for mu in integer_partitions(k):
+                rho = contiguous_cycles(*mu)
+                for r in range(1, k + 1):
+                    for subset in itertools.combinations(range(k), r):
+                        moment = exact_entry_moment(
+                            spec, [(i, rho(i)) for i in subset])
+                        tau = sorted((len(c) for c in rho.cycles()
+                                      if set(c) <= set(subset)), reverse=True)
+                        if sum(tau) < r:
+                            zeros += 1
+                            assert moment == 0, (mu, subset)
+                        else:
+                            unions += 1
+                            gamma = contiguous_cycles(*tau)
+                            assert moment == exact_entry_moment(
+                                spec, list(enumerate(gamma.images))), (mu, subset)
+    assert (zeros, unions) == (416, 224)
 
 
 def test_exact_entry_moment_is_invariant_under_index_relabelling():

@@ -1,8 +1,13 @@
 """Property tests: the naive/natural conversion round trip, the conjugacy
 invariant, the tuple-level partial order and scaling exponent against their
-object-built definitions, and the tensor decompositions against the
-recursive oracle, over inputs drawn by Hypothesis (derandomized, so
-reproducible)."""
+object-built definitions, the tensor decompositions against the
+recursive oracle, and the config-file boundary, over inputs drawn by
+Hypothesis (derandomized, so reproducible)."""
+
+import argparse
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hofree import cli  # noqa: E402
+from hofree.experiments import ExperimentConfig  # noqa: E402
 from hofree.hof import scaling_exponent  # noqa: E402
 from hofree.partperm import (  # noqa: E402
     PartitionedPermutation,
@@ -131,3 +138,36 @@ def test_tensor_decompositions_equal_the_recursive_oracle(case, row):
     assert lr_tensor_decompose(lam, mu, n) == lr_tensor_oracle(lam, mu, n)
     one_row = (row,) + (0,) * (n - 1)
     assert pieri_decompose(lam, row, n) == lr_tensor_oracle(lam, one_row, n)
+
+
+numbers = (st.integers() | st.floats()
+           | st.sampled_from([10 ** 30, 10 ** 400, -(10 ** 400)]))
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+# per key, a value of the kind the schema asks for (rational strings such as
+# "1/0" among them) or any JSON value, so that whole objects often pass it
+_kinds = {"schedule": st.lists(st.integers(), max_size=4),
+          "corner_sizes": st.lists(st.integers(), max_size=4),
+          "alpha": numbers | st.builds("{}/{}".format, st.integers(-9, 9),
+                                       st.integers(0, 9)),
+          "replicas": st.integers(), "max_order": st.integers(),
+          "seed": st.integers()}
+config_objects = st.fixed_dictionaries({}, optional={
+    key: _kinds.get(key, numbers) | json_values for key in cli._CONFIG_SCHEMA})
+
+
+@settings(derandomize=True, max_examples=300)
+@given(config_objects)
+def test_any_config_object_is_a_config_or_a_value_error(raw):
+    # the CLI turns a ValueError into exit 2 with an error line; anything
+    # else would end in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        args = argparse.Namespace(config=path, threads=1)
+        try:
+            config = cli._load_config(args)
+        except ValueError:
+            return
+    assert isinstance(config, ExperimentConfig)
