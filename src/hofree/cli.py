@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import experiments, rmt
+from . import experiments, hof, rmt
 from .errors import GuardError
 from .freeprob import free_compress, free_convolve, moments_to_free_cumulants
 from .repunitary import (
@@ -173,14 +173,10 @@ def _load_config(args, **defaults) -> experiments.ExperimentConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             kwargs[key] = flag
-        elif key in raw:
-            kwargs[key] = raw[key]
-    if "schedule" in kwargs:
-        kwargs["schedule"] = tuple(kwargs["schedule"])
-    if "corner_sizes" in kwargs:
-        kwargs["corner_sizes"] = tuple(kwargs["corner_sizes"])
-    if "alpha" in kwargs:
-        kwargs["alpha"] = Fraction(str(kwargs["alpha"]))
+        elif key == "alpha" and key in raw:   # so that a JSON 0.1 means 1/10
+            kwargs[key] = Fraction(str(raw[key]))
+        elif key in raw:    # a JSON list becomes a tuple, as a flag's list is
+            kwargs[key] = tuple(raw[key]) if isinstance(raw[key], list) else raw[key]
     kwargs["threads"] = args.threads
     return experiments.ExperimentConfig(**kwargs)
 
@@ -267,8 +263,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_hof_check(args) -> int:
-    report = experiments.hof_check(args.n, max_order=args.max_order,
-                                   inequality_order=args.inequality_order)
+    report = hof.hof_check(args.n, max_order=args.max_order,
+                           inequality_order=args.inequality_order)
     print(json.dumps(report, indent=2))
     return 0
 

@@ -1,5 +1,5 @@
-"""Desk-scale experiments comparing representation decompositions with
-random-matrix Monte Carlo and free-probability targets.
+"""Desk-scale tensor and restriction experiments, comparing representation
+decompositions with random-matrix Monte Carlo and free-probability targets.
 
 Default weight profiles grow like n^(3/2) (matching the rescaling
 eps_n = n^(-3/2)): the bulk factor is a linear shape vanishing at the right
@@ -11,21 +11,17 @@ default schedule while the enumerations stay desk-sized.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from . import hof, rmt
+from . import rmt
 from .freeprob import free_compress, free_convolve
 from .partperm import (
-    _join_cycles,
-    _num_cycles,
-    _partperm_tuples,
-    contiguous_cycles,
     integer_partitions,
     leq_pp,  # unused; bench/tests/test_bench.py checks the tracer wraps it
 )
@@ -98,6 +94,12 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
+        # tensor's rep_var scale eps_n^(2 max_order) must not underflow to 0.0
+        top = max(self.schedule + self.corner_sizes, default=1)
+        if (2 * self.max_order * Fraction(self.eps_exponent) * Fraction(math.log(top))
+                > -math.log(sys.float_info.min)):
+            raise ValueError(f"eps exponent {self.eps_exponent} is too large: "
+                             f"eps_n^(2 * max order) underflows at n = {top}")
         check_threads(self.threads)
 
     def eps(self, n: int) -> float:
@@ -220,88 +222,12 @@ def _corner_rank(alpha: Fraction, n: int) -> int:
     is the right target only when m / n is alpha itself."""
     m = alpha * n
     if m.denominator != 1 or not 1 <= m <= n:
+        # an alpha no size can take may have millions of digits
+        shown = (alpha if alpha.denominator < 2 ** 64
+                 else "a rational with a denominator above 2^64")
         raise ValueError(f"alpha * n must be an integer in [1, n]; "
-                         f"got alpha = {alpha} at n = {n}")
+                         f"got alpha = {shown} at n = {n}")
     return int(m)
-
-
-def hof_check(ns: Sequence[int], max_order: int = 4,
-              inequality_order: int = 6) -> dict:
-    """Exact verification report: the macroscopic/microscopic trace-cumulant
-    identity for fixed and two-atom mixed spectra, and the exhaustive triangle
-    inequality over the summand set of the assembly formula."""
-    # an order below 1 would check nothing and still report success
-    if not 1 <= max_order <= 4:
-        raise ValueError(f"the identity order must lie in [1, 4]; got {max_order}")
-    if not 1 <= inequality_order <= 6:
-        raise ValueError(f"the inequality order must lie in [1, 6]; "
-                         f"got {inequality_order}")
-    if len(set(ns)) != len(ns):
-        raise ValueError(f"matrix sizes must not repeat; got {list(ns)}")
-    if any(n < 1 for n in ns):
-        raise ValueError("matrix sizes must be positive")
-    report = {"identity": [], "triangle": [], "all_passed": True}
-    for n in ns:
-        top = tuple(range(n, 0, -1))
-        alt = tuple(x + (1 if i % 2 == 0 else -1) for i, x in enumerate(top))
-        specs = {
-            "fixed": rmt.EnsembleSpec.fixed(top, eps=Fraction(1, n)),
-            "mixed": rmt.EnsembleSpec.mixture(
-                [(top, Fraction(1, 2)), (alt, Fraction(1, 2))],
-                eps=Fraction(1, n)),
-        }
-        for label, spec in specs.items():
-            # patterns in trace_patterns(max_order) order, one table per order
-            for k in range(1, max_order + 1):
-                table = hof.kappa_exact(spec, k)
-                for pattern in integer_partitions(k):
-                    lhs = hof.trace_cumulant_direct(spec, pattern)
-                    rhs = hof.macro_from_micro(table, pattern)
-                    ok = lhs == rhs
-                    report["all_passed"] &= ok
-                    report["identity"].append({
-                        "n": n, "spectrum": label,
-                        "pattern": list(pattern),
-                        "lhs": f"{lhs.numerator}/{lhs.denominator}",
-                        "rhs": f"{rhs.numerator}/{rhs.denominator}",
-                        "equal": ok,
-                    })
-    for k in range(1, inequality_order + 1):
-        full = (0,) * k
-        gammas = [contiguous_cycles(*c).images for c in integer_partitions(k)]
-        tops = [k + len(c) - 2 for c in integer_partitions(k)]  # |(1, gamma)|
-        checked, holds = 0, True
-        # V v C(gamma) = 1 does not depend on pi: one join per (V, gamma)
-        connected: dict = {}
-        # per pi, as bytes: pi^-1, then #(pi^-1 gamma), #(gamma pi^-1) per gamma
-        counts: dict = {}
-        # one streamed sweep per k: the enumeration is never held in memory
-        for block_of, images, length in _partperm_tuples(k):
-            if block_of not in connected:
-                connected[block_of] = [_join_cycles(block_of, g) == full
-                                       for g in gammas]
-            if images not in counts:
-                inv = sorted(range(k), key=images.__getitem__)
-                counts[images] = bytes(inv) + bytes(c for g in gammas for c in (
-                    _num_cycles([inv[j] for j in g]),
-                    _num_cycles([g[j] for j in inv])))
-            row = counts[images]
-            inv = row[:k]
-            for g, top, joins, sigma_cycles, step_cycles in zip(
-                    gammas, tops, connected[block_of], row[k::2], row[k + 1::2]):
-                # leq_pp(vp, (1, gamma)): lengths add up, V v C(pi^-1 gamma) = 1
-                below = (length + k - sigma_cycles == top and _join_cycles(
-                    block_of, [inv[j] for j in g]) == full)
-                if not joins:
-                    holds &= not below
-                    continue
-                checked += 1
-                e = k - step_cycles + length - top  # hof.scaling_exponent
-                holds &= (e >= 0) and ((e == 0) == below)
-        report["triangle"].append({"k": k, "summands_checked": checked,
-                                   "holds": holds})
-        report["all_passed"] &= holds
-    return report
 
 
 def trace_patterns(max_total: int) -> list[tuple[int, ...]]:

@@ -4,7 +4,7 @@ Connects the microscopic data (cumulants of matrix entries along partitioned
 permutations, exact via the Weingarten oracle or estimated by Monte Carlo)
 with the macroscopic data (classical cumulants of power-sum traces): the
 exact finite-n assembly identity and the scaling exponents controlling which
-terms survive the large-n limit.
+terms survive the large-n limit, both checked exactly by `hof_check`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .partperm import (
     Permutation,
     _join_cycles,
     _num_cycles,
+    _partperm_tuples,
     conjugacy_key,
     contiguous_cycles,
     integer_partitions,
@@ -194,3 +196,87 @@ def scaling_exponent(vp: PartitionedPermutation, gamma: Permutation) -> int:
     inv = vp.permutation.inverse().images
     step = k - _num_cycles([g[j] for j in inv])
     return step + vp.length() - top_length
+
+
+def hof_check(ns: Sequence[int], max_order: int = 4,
+              inequality_order: int = 6) -> dict:
+    """Exact verification report: the macroscopic/microscopic trace-cumulant
+    identity for fixed and two-atom mixed spectra, and the exhaustive triangle
+    inequality over the summand set of the assembly formula.
+
+    >>> [(row["k"], row["summands_checked"], row["holds"])
+    ...  for row in hof_check((3,), 1, 3)["triangle"]]
+    [(1, 1, True), (2, 5, True), (3, 29, True)]
+    """
+    # an order below 1 would check nothing and still report success
+    if not 1 <= max_order <= KAPPA_MAX_ORDER:
+        raise ValueError(f"the identity order must lie in [1, {KAPPA_MAX_ORDER}]; "
+                         f"got {max_order}")
+    if not 1 <= inequality_order <= 6:
+        raise ValueError(f"the inequality order must lie in [1, 6]; "
+                         f"got {inequality_order}")
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"matrix sizes must not repeat; got {list(ns)}")
+    if any(n < 1 for n in ns):
+        raise ValueError("matrix sizes must be positive")
+    report = {"identity": [], "triangle": [], "all_passed": True}
+    for n in ns:
+        top = tuple(range(n, 0, -1))
+        alt = tuple(x + (1 if i % 2 == 0 else -1) for i, x in enumerate(top))
+        specs = {
+            "fixed": rmt.EnsembleSpec.fixed(top, eps=Fraction(1, n)),
+            "mixed": rmt.EnsembleSpec.mixture(
+                [(top, Fraction(1, 2)), (alt, Fraction(1, 2))],
+                eps=Fraction(1, n)),
+        }
+        for label, spec in specs.items():
+            # patterns in trace_patterns(max_order) order, one table per order
+            for k in range(1, max_order + 1):
+                table = kappa_exact(spec, k)
+                for pattern in integer_partitions(k):
+                    lhs = trace_cumulant_direct(spec, pattern)
+                    rhs = macro_from_micro(table, pattern)
+                    ok = lhs == rhs
+                    report["all_passed"] &= ok
+                    report["identity"].append({
+                        "n": n, "spectrum": label,
+                        "pattern": list(pattern),
+                        "lhs": f"{lhs.numerator}/{lhs.denominator}",
+                        "rhs": f"{rhs.numerator}/{rhs.denominator}",
+                        "equal": ok,
+                    })
+    for k in range(1, inequality_order + 1):
+        full = (0,) * k
+        gammas = [contiguous_cycles(*c).images for c in integer_partitions(k)]
+        tops = [k + len(c) - 2 for c in integer_partitions(k)]  # |(1, gamma)|
+        checked, holds = 0, True
+        # V v C(gamma) = 1 does not depend on pi: one join per (V, gamma)
+        connected: dict = {}
+        # per pi, as bytes: pi^-1, then #(gamma pi^-1) per gamma, which is
+        # also #(pi^-1 gamma), as the two are conjugate by pi
+        counts: dict = {}
+        # one streamed sweep per k: the enumeration is never held in memory
+        for block_of, images, length in _partperm_tuples(k):
+            if block_of not in connected:
+                connected[block_of] = [_join_cycles(block_of, g) == full
+                                       for g in gammas]
+            if images not in counts:
+                inv = sorted(range(k), key=images.__getitem__)
+                counts[images] = bytes(inv) + bytes(
+                    _num_cycles([g[j] for j in inv]) for g in gammas)
+            row = counts[images]
+            inv = row[:k]
+            for g, top, joins, step_cycles in zip(
+                    gammas, tops, connected[block_of], row[k:]):
+                e = k - step_cycles + length - top  # scaling_exponent
+                # leq_pp(vp, (1, gamma)): lengths add up, V v C(pi^-1 gamma) = 1
+                below = e == 0 and _join_cycles(block_of, [inv[j] for j in g]) == full
+                if not joins:
+                    holds &= not below
+                    continue
+                checked += 1
+                holds &= (e >= 0) and ((e == 0) == below)
+        report["triangle"].append({"k": k, "summands_checked": checked,
+                                   "holds": holds})
+        report["all_passed"] &= holds
+    return report

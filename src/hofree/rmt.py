@@ -404,7 +404,7 @@ def _schur_dimension(lam: tuple[int, ...], n: int) -> int:
             // math.prod(lam[i] - j + height[j] - i - 1 for i, j in boxes))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _weingarten_coefficients(k: int, n: int) -> tuple[Fraction, ...]:
     """c_lam = chi^lam(1) / (k! s_lam(1^n)) for lam in `integer_partitions(k)`
     order: Wg(., n) = (1/k!) sum_lam c_lam chi^lam(1) chi^lam.  As n >= k,
@@ -420,7 +420,7 @@ def _weingarten_coefficients(k: int, n: int) -> tuple[Fraction, ...]:
                  for lam in integer_partitions(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Exact Weingarten function from the characters of S_k:
     Wg(mu, n) = sum_lam chi^lam(1)^2 chi^lam(mu) / (k!^2 s_lam(1^n)).

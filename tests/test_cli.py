@@ -261,6 +261,8 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
     negative_seed.write_text(json.dumps({"seed": -1}))
     no_alpha = tmp_path / "no_alpha.json"
     no_alpha.write_text(json.dumps({"alpha": "1/0"}))
+    tiny_alpha = tmp_path / "tiny_alpha.json"
+    tiny_alpha.write_text(json.dumps({"alpha": "1e-1000000"}))
     out = tmp_path / "out"
     for command, message in (
             (["--config", str(no_schedule), "tensor"], "schedule is empty"),
@@ -307,7 +309,18 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
              "seed must lie in [0, 2^64)"),
             # used to end in a ZeroDivisionError traceback
             (["--config", str(no_alpha), "restrict"],
-             "'alpha' must be a finite rational")):
+             "'alpha' must be a finite rational"),
+            # used to end in Python's 4300-digit limit for int-to-str, which
+            # named neither alpha nor its range
+            (["restrict", "--alpha", "1e1000000"], "alpha must lie in (0, 1]"),
+            (["restrict", "--alpha", "1e-1000000"],
+             "alpha * n must be an integer in [1, n]"),
+            (["--config", str(tiny_alpha), "restrict"],
+             "alpha * n must be an integer in [1, n]"),
+            # eps_n^(2 max order) underflowed: every scaled column read 0.0
+            (["tensor", "--eps-exponent", "1e30", "--schedule", "2",
+              "--replicas", "10", "--max-order", "2"],
+             "eps exponent 1e+30 is too large")):
         code = main(["--out", str(out), *command])
         captured = capsys.readouterr()
         assert code == 2, command

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hofree import hof, rmt
+from hofree.hof import hof_check
 from hofree.experiments import (
     ExperimentConfig,
     bulk_profile,
-    hof_check,
     restriction_experiment,
     row_profile,
     tensor_experiment,
@@ -53,6 +53,14 @@ def test_config_validation():
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="must be finite"):
                 ExperimentConfig(**{key: bad})
+    # eps_n^(2 max_order) below the smallest normal float: 4 * 256 * ln 2
+    # is about 710, so a = 256 is refused at n = 2 and a = 255 is not
+    for a, sizes in ((1e30, {}), (256, {"schedule": (2,), "corner_sizes": ()}),
+                     (2.0, {"schedule": (2,), "corner_sizes": (10 ** 400,)})):
+        with pytest.raises(ValueError, match="eps exponent .* is too large"):
+            ExperimentConfig(eps_exponent=a, max_order=2, **sizes)
+    assert ExperimentConfig(eps_exponent=255, max_order=2, schedule=(2,),
+                            corner_sizes=()).eps_exponent == 255
     for seed in (-1, 2 ** 64, 2 ** 64 + 1):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
             ExperimentConfig(seed=seed)

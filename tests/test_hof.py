@@ -110,7 +110,7 @@ def test_kappa_guards():
 
 
 def hof_check_spectra(n):
-    # the fixed and two-atom mixed spectra of experiments.hof_check
+    # the fixed and two-atom mixed spectra of hof.hof_check
     top = tuple(range(n, 0, -1))
     alt = tuple(x + (1 if i % 2 == 0 else -1) for i, x in enumerate(top))
     return (EnsembleSpec.fixed(top, eps=Fraction(1, n)),

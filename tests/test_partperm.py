@@ -413,6 +413,17 @@ def test_contiguous_cycles():
         contiguous_cycles(2, 0)
 
 
+def test_left_and_right_quotients_have_equal_cycle_counts():
+    # gamma pi^-1 = pi (pi^-1 gamma) pi^-1 is conjugate to pi^-1 gamma, so the
+    # triangle sweep of hof.hof_check counts the cycles of one of them
+    for k in range(1, 6):
+        perms = [Permutation(p) for p in itertools.permutations(range(k))]
+        for pi in perms:
+            for gamma in perms:
+                assert (pi.inverse() * gamma).num_cycles() == \
+                    (gamma * pi.inverse()).num_cycles()
+
+
 def test_enumeration_counts_match_brute_force():
     assert sum(1 for _ in partitioned_permutations(1)) == 1
     assert sum(1 for _ in partitioned_permutations(2)) == 3

@@ -1,10 +1,12 @@
 """Property tests: the naive/natural conversion round trip, the conjugacy
 invariant, the tuple-level partial order and scaling exponent against their
 object-built definitions, the tensor decompositions against the
-recursive oracle, and the config-file boundary, over inputs drawn by
-Hypothesis (derandomized, so reproducible)."""
+recursive oracle, and the config-file and `--alpha` boundaries, over inputs
+drawn by Hypothesis (derandomized, so reproducible)."""
 
 import argparse
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from hofree import cli  # noqa: E402
 from hofree.experiments import ExperimentConfig  # noqa: E402
@@ -171,3 +173,31 @@ def test_any_config_object_is_a_config_or_a_value_error(raw):
         except ValueError:
             return
     assert isinstance(config, ExperimentConfig)
+
+
+_sign = st.sampled_from(["", "-", "+"])
+_digits = st.integers(0, 10 ** 6).map(str)
+_decimal = st.builds("{}{}.{}".format, _sign, _digits, _digits)
+alpha_texts = (
+    _decimal
+    | st.builds("{}{}/{}".format, _sign, _digits, st.integers(1, 10 ** 6))
+    | st.builds("{}e{}".format, _decimal | _digits.map("{}".format),
+                st.integers(-10 ** 6, 10 ** 6)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(alpha_texts)
+@example("1/2")
+@example("5e-1")
+def test_any_alpha_text_exits_with_a_documented_code(text):
+    # on a run this small only alpha = 1/2 or 1 passes; every other value
+    # is refused with exit 2 and an error line that names alpha, however
+    # many digits it has
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["--out", tmp, "restrict", "--schedule", "2",
+                         "--corner-sizes", "2", "--max-order", "1",
+                         "--replicas", "2", f"--alpha={text}"])
+    assert code in (0, 2, 3), text
+    assert code == 0 or err.getvalue().startswith("error: alpha"), text
