@@ -2,7 +2,8 @@
 
 Subcommands: spectral | tensor | restrict | hof-check | simulate | freeconv.
 Global flags: --seed, --out, --config (JSON file with ExperimentConfig-style
-keys), --threads.  Exit codes: 0 success, 2 validation error, 3 guard refusal.
+keys; tensor, restrict and simulate only), --threads.  Exit codes: 0
+success, 2 validation error, 3 guard refusal.
 
 Every command is a pure function of (config, seed): identical inputs produce
 byte-identical outputs.  CSV files are UTF-8 with a header row and RFC-4180
@@ -63,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for CSV/JSON files")
     parser.add_argument("--config", type=Path, default=None,
-                        help="JSON config file; command-line flags override it")
+                        help="JSON config file for tensor, restrict and "
+                             "simulate; command-line flags override it")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for replica generation, from 1 "
                              "to the CPU count")
@@ -150,7 +152,10 @@ _CONFIG_SCHEMA = {
 
 
 def _read_config(path: Path) -> dict:
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:    # malformed JSON, or an integer past Python's digit limit
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: expected a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_SCHEMA))
@@ -333,6 +338,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         experiments.check_threads(args.threads)
+        # only the commands that build an ExperimentConfig read --config
+        if args.config is not None and args.command not in (
+                "tensor", "restrict", "simulate"):
+            raise ValueError(f"{args.command} reads no config file; --config "
+                             f"is for tensor, restrict and simulate")
         return _COMMANDS[args.command](args)
     except GuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)

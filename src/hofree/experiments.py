@@ -94,16 +94,20 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
-        # tensor's rep_var scale eps_n^(2 max_order) must not underflow to 0.0
-        top = max(self.schedule + self.corner_sizes, default=1)
-        if (2 * self.max_order * Fraction(self.eps_exponent) * Fraction(math.log(top))
-                > -math.log(sys.float_info.min)):
-            raise ValueError(f"eps exponent {self.eps_exponent} is too large: "
-                             f"eps_n^(2 * max order) underflows at n = {top}")
         check_threads(self.threads)
 
     def eps(self, n: int) -> float:
         return float(n) ** -self.eps_exponent
+
+    def check_eps(self, sizes: tuple[int, ...]) -> None:
+        """Refuses an eps exponent for which tensor's rep_var scale
+        eps_n^(2 max_order) underflows to 0.0 at one of the sizes a command
+        runs."""
+        top = max(sizes, default=1)
+        if (2 * self.max_order * Fraction(self.eps_exponent) * Fraction(math.log(top))
+                > -math.log(sys.float_info.min)):
+            raise ValueError(f"eps exponent {self.eps_exponent} is too large: "
+                             f"eps_n^(2 * max order) underflows at n = {top}")
 
 
 def tensor_experiment(config: ExperimentConfig) -> list[dict]:
@@ -112,6 +116,7 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
     the sum of independent matrices.  One row per (n, k)."""
     if not config.schedule:
         raise ValueError("the tensor schedule is empty")
+    config.check_eps(config.schedule)
     rows = []
     orders = tuple(range(1, config.max_order + 1))
     for n in config.schedule:
@@ -160,6 +165,7 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
     free-compression target, and corner Monte Carlo for the matching alpha."""
     if not config.schedule + config.corner_sizes:
         raise ValueError("the schedule and the corner sizes are both empty")
+    config.check_eps(config.schedule + config.corner_sizes)
     rows = []
     orders = tuple(range(1, config.max_order + 1))
     alpha = Fraction(config.alpha)

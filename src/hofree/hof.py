@@ -198,6 +198,14 @@ def scaling_exponent(vp: PartitionedPermutation, gamma: Permutation) -> int:
     return step + vp.length() - top_length
 
 
+def _cycle_row(images: tuple, gammas: list) -> bytes:
+    """pi^-1 for pi = images, then #(gamma pi^-1) for each gamma's images,
+    as bytes; #(gamma pi^-1) is also #(pi^-1 gamma), as the two are
+    conjugate by pi."""
+    inv = sorted(range(len(images)), key=images.__getitem__)
+    return bytes(inv) + bytes(_num_cycles([g[j] for j in inv]) for g in gammas)
+
+
 def hof_check(ns: Sequence[int], max_order: int = 4,
               inequality_order: int = 6) -> dict:
     """Exact verification report: the macroscopic/microscopic trace-cumulant
@@ -252,18 +260,14 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
         checked, holds = 0, True
         # V v C(gamma) = 1 does not depend on pi: one join per (V, gamma)
         connected: dict = {}
-        # per pi, as bytes: pi^-1, then #(gamma pi^-1) per gamma, which is
-        # also #(pi^-1 gamma), as the two are conjugate by pi
-        counts: dict = {}
+        counts: dict = {}               # per pi, its `_cycle_row`
         # one streamed sweep per k: the enumeration is never held in memory
         for block_of, images, length in _partperm_tuples(k):
             if block_of not in connected:
                 connected[block_of] = [_join_cycles(block_of, g) == full
                                        for g in gammas]
             if images not in counts:
-                inv = sorted(range(k), key=images.__getitem__)
-                counts[images] = bytes(inv) + bytes(
-                    _num_cycles([g[j] for j in inv]) for g in gammas)
+                counts[images] = _cycle_row(images, gammas)
             row = counts[images]
             inv = row[:k]
             for g, top, joins, step_cycles in zip(

@@ -197,8 +197,8 @@ def corner_traces(spec: EnsembleSpec, rng, m: int, powers) -> np.ndarray:
     the same draws: with Z = WR the n-by-m Ginibre draw's thin QR, W*DW is
     similar to Y = (Z*Z)^-1 Z*DZ.  For 2m > n the draw is an n-by-(n - m)
     Ginibre Z whose complement is the Haar m-subspace: with Q = Z G^-1 Z*
-    and G = Z*Z, Tr (W*DW)^p = Tr (D - QD)^p, expanded by
-    `_complement_words` into traces of N_b = G^-1 Z*D^bZ.  For m = n they
+    and G = Z*Z, Tr (W*DW)^p = Tr (D - QD)^p, read off N_b = G^-1 Z*D^bZ
+    by the resolvent recursion of `_add_complement_traces`.  For m = n they
     are tr D^p."""
     n = spec.n
     if not 1 <= m <= n:
@@ -216,34 +216,20 @@ def corner_traces(spec: EnsembleSpec, rng, m: int, powers) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         traces = {p: np.sum(eigs ** p) for p in powers}
         if m < n:
-            _add_complement_words(traces, eigs, _ginibre(n, rng, n - m))
+            _add_complement_traces(traces, eigs, _ginibre(n, rng, n - m))
         return np.array([traces[p].real for p in powers]) / m
 
 
-@lru_cache(maxsize=None)
-def _complement_words(p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Tr (D - QD)^p = Tr D^p + sum of c Tr(N_b1 ... N_bj) over the pairs
-    ((b1, ..., bj), c) of this table.  A word of the expansion with QD at
-    positions s1 < ... < sj (j >= 1) rotates to Q D^b1 ... Q D^bj, the bi
-    the cyclic gaps between the si, whose trace is Tr(N_b1 ... N_bj); the
-    gaps are stored as their least rotation and c sums the signs (-1)^j.
-
-    >>> _complement_words(2)
-    (((2,), -2), ((1, 1), 1))
-    """
-    table = {}
-    for mask in range(1, 2 ** p):
-        at = [i for i in range(p) if mask >> i & 1]
-        gaps = [b - a for a, b in zip(at, at[1:])] + [at[0] + p - at[-1]]
-        word = min(tuple(gaps[i:] + gaps[:i]) for i in range(len(gaps)))
-        table[word] = table.get(word, 0) + (-1) ** len(gaps)
-    return tuple(table.items())
-
-
-def _add_complement_words(traces: dict, eigs: np.ndarray, z: np.ndarray):
-    """Add the words of `_complement_words(p)` to traces[p] = Tr D^p for
-    each p, from the n-by-r draw Z: one r-by-n by n-by-(P + 1)r product for
-    G and every Z*D^aZ, a <= P, one r-by-r inverse, and r-by-r products."""
+def _add_complement_traces(traces: dict, eigs: np.ndarray, z: np.ndarray):
+    """Add Tr (D - QD)^p - Tr D^p to traces[p] = Tr D^p for each p, from the
+    n-by-r draw Z.  QD = ZB with B = G^-1 Z*D, and by Sylvester's identity
+    log det(1 - w(D - ZB)) = log det(1 - wD) + log det F(w), where
+    F(w) = I_r + B(1 - wD)^-1 Zw = I_r + sum_b N_b w^b; the w-derivative
+    gives Tr (D - QD)^p = Tr D^p - sum_(b <= p) b Tr(R_(p-b) N_b), the R_q
+    the coefficients of F^-1: R_0 = I, R_q = -sum_(b <= q) N_b R_(q-b).
+    One r-by-n by n-by-(P + 1)r product for G and every Z*D^aZ, a <= P, one
+    r-by-r inverse, and r-by-r products: N_b for b < P and (P - 1)(P - 2)/2
+    for the R_q; Tr N_p is read off G^-1 and Z*D^pZ."""
     n, r = z.shape
     top = max(traces)
     scaled = z[:, None, :] * (eigs[:, None] ** np.arange(top + 1))[:, :, None]
@@ -251,21 +237,13 @@ def _add_complement_words(traces: dict, eigs: np.ndarray, z: np.ndarray):
         r, top + 1, r)
     del scaled
     ginv = np.linalg.inv(blocks[:, 0])
-    # products of N_b keyed by their gaps, built prefix by prefix in a loop
-    products = {(a,): ginv @ blocks[:, a] for a in range(1, top + 1)}
+    nb = [None] + [ginv @ blocks[:, b] for b in range(1, top)]
+    res = [None]                        # R_q, with R_0 = I left implicit
+    for q in range(1, top):
+        res.append(-nb[q] - sum(nb[b] @ res[q - b] for b in range(1, q)))
     for p in traces:
-        for word, c in _complement_words(p):
-            if len(word) == 1:
-                traces[p] += c * np.trace(products[word])
-                continue
-            cut = (len(word) + 1) // 2
-            for part in (word[:cut], word[cut:]):
-                for k in range(2, len(part) + 1):
-                    if part[:k] not in products:
-                        products[part[:k]] = (products[part[:k - 1]]
-                                              @ products[part[k - 1:k]])
-            traces[p] += c * np.einsum("ij,ji->", products[word[:cut]],
-                                       products[word[cut:]])
+        traces[p] -= p * np.einsum("ij,ji->", ginv, blocks[:, p]) + sum(
+            b * np.einsum("ij,ji->", res[p - b], nb[b]) for b in range(1, p))
 
 
 def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:

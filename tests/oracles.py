@@ -1,8 +1,11 @@
 """Independent reference computations that the tests check fast paths
 against; no code in `src` calls them."""
 
+import functools
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from hofree import repunitary, rmt
 from hofree.cumulants import CumulantTable, MomentTable, moments_to_cumulants
@@ -64,6 +67,40 @@ def entry_moment_by_weingarten_sum(spec: rmt.EnsembleSpec, pairs) -> Fraction:
             atom_total = atom_total + term
         total = total + prob * atom_total
     return total * spec.eps ** k
+
+
+def complement_words(p: int) -> dict:
+    """Tr (D - QD)^p = Tr D^p + sum of c Tr(N_b1 ... N_bj) over the items
+    ((b1, ..., bj), c) of this table, N_b = G^-1 Z*D^bZ.  A word of the
+    expansion with QD at positions s1 < ... < sj (j >= 1) rotates to
+    Q D^b1 ... Q D^bj, the bi the cyclic gaps between the si, whose trace is
+    Tr(N_b1 ... N_bj); the gaps are stored as their least rotation and c
+    sums the signs (-1)^j.
+
+    >>> complement_words(2)
+    {(2,): -2, (1, 1): 1}
+    """
+    table = {}
+    for mask in range(1, 2 ** p):
+        at = [i for i in range(p) if mask >> i & 1]
+        gaps = [b - a for a, b in zip(at, at[1:])] + [at[0] + p - at[-1]]
+        word = min(tuple(gaps[i:] + gaps[:i]) for i in range(len(gaps)))
+        table[word] = table.get(word, 0) + (-1) ** len(gaps)
+    return table
+
+
+def complement_traces_by_words(eigs, z, powers) -> list:
+    """Tr (D - QD)^p for each p, D = diag(eigs) and Q the projection onto
+    the range of the n-by-r draw Z, by the 2^p - 1 words of
+    `complement_words`, the oracle of the resolvent recursion that
+    `rmt.corner_traces` runs for corners with 2m > n."""
+    zh = z.conj().T
+    ginv = np.linalg.inv(zh @ z)
+    nb = {b: ginv @ (zh * eigs ** b) @ z for b in range(1, max(powers) + 1)}
+    return [np.sum(eigs ** p) + sum(
+                c * np.trace(functools.reduce(np.matmul, map(nb.get, word)))
+                for word, c in complement_words(p).items())
+            for p in powers]
 
 
 def entry_cumulants(spec: rmt.EnsembleSpec, pairs) -> CumulantTable:

@@ -320,7 +320,19 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
             # eps_n^(2 max order) underflowed: every scaled column read 0.0
             (["tensor", "--eps-exponent", "1e30", "--schedule", "2",
               "--replicas", "10", "--max-order", "2"],
-             "eps exponent 1e+30 is too large")):
+             "eps exponent 1e+30 is too large"),
+            # restrict runs its corner sizes, so they are checked too
+            (["restrict", "--schedule", "2", "--corner-sizes", "256",
+              "--eps-exponent", "30"], "underflows at n = 256"),
+            # these commands read no config file; --config used to be
+            # ignored with exit 0
+            (["--config", str(path), "spectral", "--l", "2,0"],
+             "spectral reads no config file"),
+            (["--config", str(tmp_path / "none.json"), "hof-check", "--n",
+              "3", "--max-order", "1", "--inequality-order", "1"],
+             "hof-check reads no config file"),
+            (["--config", str(path), "freeconv", "--a", "0,1"],
+             "freeconv reads no config file")):
         code = main(["--out", str(out), *command])
         captured = capsys.readouterr()
         assert code == 2, command
@@ -423,13 +435,34 @@ def test_config_file_schema_errors(tmp_path, capsys):
                             ({"alpha": "1/0"}, "'alpha' must be a finite rational"),
                             ({"alpha": "one half"},
                              "'alpha' must be a finite rational"),
-                            ([2, 4], "expected a JSON object")):
-        path.write_text(json.dumps(config))
+                            ([2, 4], "expected a JSON object"),
+                            # json.loads errors used to name neither the
+                            # file nor the config
+                            ("{a: 1}", "Expecting property name"),
+                            ('{"seed": ' + "1" * 5000 + "}",
+                             "Exceeds the limit (4300 digits)")):
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps(config))
         code = main(["--out", str(tmp_path), "--config", str(path),
                      "tensor"])
         err = capsys.readouterr().err
         assert code == 2, config
+        assert err.startswith(f"error: config {path}: "), err
         assert message in err, err
+
+
+def test_eps_underflow_checks_only_the_sizes_tensor_runs(tmp_path, capsys):
+    # eps_n^(2 * 4) underflows at n = 256 for a = 30: restrict's default
+    # corner size, which tensor never runs, used to refuse tensor as well
+    code, _, err = run_cli(capsys, "--out", str(tmp_path), "tensor",
+                           "--schedule", "2,4", "--eps-exponent", "30",
+                           "--replicas", "10")
+    assert code == 0 and err == ""
+    with open(tmp_path / "tensor.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    assert all(float(row["rep_mean"]) > 0 for row in rows)
+    assert all(float(row["rep_var"]) > 0 for row in rows if row["k"] != "1")
 
 
 def test_config_seed_used_unless_flag_given(tmp_path, capsys):

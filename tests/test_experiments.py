@@ -54,13 +54,14 @@ def test_config_validation():
             with pytest.raises(ValueError, match="must be finite"):
                 ExperimentConfig(**{key: bad})
     # eps_n^(2 max_order) below the smallest normal float: 4 * 256 * ln 2
-    # is about 710, so a = 256 is refused at n = 2 and a = 255 is not
-    for a, sizes in ((1e30, {}), (256, {"schedule": (2,), "corner_sizes": ()}),
-                     (2.0, {"schedule": (2,), "corner_sizes": (10 ** 400,)})):
+    # is about 710, so a = 256 is refused at n = 2 and a = 255 is not; only
+    # the sizes a command runs are checked, which it passes to check_eps
+    for a, sizes in ((1e30, (2, 4, 6, 8, 256)), (256, (2,)),
+                     (2.0, (2, 10 ** 400))):
+        config = ExperimentConfig(eps_exponent=a, max_order=2)
         with pytest.raises(ValueError, match="eps exponent .* is too large"):
-            ExperimentConfig(eps_exponent=a, max_order=2, **sizes)
-    assert ExperimentConfig(eps_exponent=255, max_order=2, schedule=(2,),
-                            corner_sizes=()).eps_exponent == 255
+            config.check_eps(sizes)
+    ExperimentConfig(eps_exponent=255, max_order=2).check_eps((2,))
     for seed in (-1, 2 ** 64, 2 ** 64 + 1):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
             ExperimentConfig(seed=seed)

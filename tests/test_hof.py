@@ -6,6 +6,7 @@ import pytest
 
 from hofree.errors import GuardError
 from hofree.hof import (
+    _cycle_row,
     kappa_exact,
     kappa_mc,
     macro_from_micro,
@@ -287,6 +288,18 @@ def test_triangle_inequality_small():
                 e = scaling_exponent(vp, gamma)
                 assert e >= 0
                 assert (e == 0) == below
+
+
+def test_cycle_row_counts_the_cycles_of_gamma_pi_inverse():
+    # hof_check's triangle sweep reads pi^-1 and every #(gamma pi^-1) from
+    # this row; a count of gamma pi or pi gamma would differ here
+    for k in range(1, 6):
+        gammas = [contiguous_cycles(*c) for c in integer_partitions(k)]
+        for images in itertools.permutations(range(k)):
+            inv = Permutation(images).inverse()
+            row = _cycle_row(images, [g.images for g in gammas])
+            assert tuple(row[:k]) == inv.images
+            assert list(row[k:]) == [(g * inv).num_cycles() for g in gammas]
 
 
 def test_kappa_mc_matches_exact():

@@ -25,7 +25,7 @@ from hofree.rmt import (
     trace_statistics,
     weingarten_table,
 )
-from oracles import entry_moment_by_weingarten_sum
+from oracles import complement_traces_by_words, entry_moment_by_weingarten_sum
 
 
 def test_haar_unitary_is_unitary():
@@ -234,8 +234,8 @@ def complement_corner(spec, rng, m):
 def test_power_traces_match_eigenvalue_powers():
     # trace_statistics rows, from trace products Tr AB of matrix powers (and,
     # for a corner m < n, of the QR-free similar matrix or the complement's
-    # word expansion), equal the eigenvalue powers of the same draws up to
-    # round-off; the oracle of a corner with 2m > n is (I - Q) D (I - Q)
+    # resolvent recursion), equal the eigenvalue powers of the same draws up
+    # to round-off; the oracle of a corner with 2m > n is (I - Q) D (I - Q)
     powers = (4, 1, 8, 3, 2, 2, 7, 5, 6, 1)
     fixed = EnsembleSpec.fixed((3, 1, 0, -1, -4), eps=Fraction(1, 2))
     mixture = EnsembleSpec.mixture([((2, 0, -1, 1), Fraction(1, 3)),
@@ -268,6 +268,28 @@ def test_power_traces_match_eigenvalue_powers():
                 want = np.sum(eigs ** p) / table.n
                 assert abs(table.values[r, i] - want) <= 1e-12 * norm ** p, \
                     (spec, m, r, p)
+
+
+def test_complement_recursion_matches_the_word_expansion():
+    # for 2m > n, corner_traces reads Tr C^p from a resolvent recursion; on
+    # the same draws it equals the 2^p - 1 words of Tr (D - QD)^p.  Both
+    # subtract from Tr D^p; spectra in [1, 2 + 1/n] keep Tr C^p within a
+    # factor n (2 + 1/n)^p / m of it, so the tolerance can be relative
+    powers = tuple(range(1, 13))
+    for n, m in ((3, 2), (4, 3), (5, 3), (6, 5), (8, 5), (12, 7), (16, 15),
+                 (40, 21)):
+        top = tuple(range(2 * n, n, -1))
+        alt = tuple(x + (1 if i % 2 == 0 else -1) for i, x in enumerate(top))
+        spec = EnsembleSpec.mixture(
+            [(top, Fraction(1, 2)), (alt, Fraction(1, 2))], eps=Fraction(1, n))
+        for r in range(3):
+            got = corner_traces(spec, replica_rng(7, r), m, powers) * m
+            rng = replica_rng(7, r)
+            eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
+            want = complement_traces_by_words(
+                eigs, rmt._ginibre(n, rng, n - m), powers)
+            for p, g, w in zip(powers, got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (n, m, r, p)
 
 
 def test_corner_trace_means_match_exact_moments():
