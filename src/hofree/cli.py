@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact and Monte-Carlo checks for spectra of unitary-group "
                     "representations against free probability")
     parser.add_argument("--seed", type=int, default=None,
-                        help="master RNG seed (default: the config's, else 1)")
+                        help="master RNG seed, read only by tensor, restrict "
+                             "and simulate (default: the config's, else 1)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for CSV/JSON files")
     parser.add_argument("--config", type=Path, default=None,

@@ -339,38 +339,35 @@ def restriction_mean_moments(l: ShiftedWeight, m: int,
     branching sums Delta(v) g(v) over the box prod_i [l_{i+1}, l_i), an
     alternant of Faulhaber polynomials divisible by Delta(l) (the finite-n
     quantized compression of Bufetov-Gorin, arXiv:1311.5780).  The
-    polynomial is interpolated exactly from its enumerated values at small
-    sample weights, checked at one more sample, and evaluated at l.
+    polynomial is interpolated exactly from its enumerated values on the
+    staircase `_staircase(n, K)`, K the largest order, checked at
+    rho + (K + 1, 0, ..., 0), and evaluated at l.
     """
     n = l.n
     if not 1 <= m < n:
         raise ValueError(f"target rank must satisfy 1 <= m < {n}")
     orders = tuple(orders)
+    if not all(isinstance(k, Integral) and k >= 0 for k in orders):
+        raise ValueError(f"orders must be nonnegative integers: {orders}")
     degree = max(orders, default=0)
     basis = _elementary_basis(n, degree)
     r = len(basis)
-    # Integer rows [e_mu(s) | E p_k(s) | 0], scaled by dim(s), for the kept
-    # samples s, in forward-eliminated form: (pivot column, row).  Every row
-    # in their span is [a | b | 0] with a . C = b, C the coefficients.  A
-    # sample is kept when its e_mu row is independent of the kept ones.
+    # Integer rows [e_mu(s) | E p_k(s) | 0], scaled by dim(s), for the
+    # staircase weights s, in forward-eliminated form: (pivot column, row).
+    # Every row in their span is [a | b | 0] with a . C = b, C the
+    # coefficients.  The staircase is unisolvent, so every row takes a pivot.
     pivots: list[tuple[int, list[int]]] = []
-    samples = _sample_weights(n, degree)
-    for s in samples:
-        row = _elementary_row(s, basis, degree)
-        col = next((j for j, x in enumerate(_eliminate(row, pivots)) if x),
-                   None)
+    for s in _staircase(n, degree):
+        row = _eliminate(_sample_row(s, m, orders,
+                                     _elementary_row(s, basis, degree)),
+                         pivots)
+        col = next((j for j, x in enumerate(row[:r]) if x), None)
         if col is None:
-            continue
-        pivots.append((col, _eliminate(_sample_row(s, m, orders, row),
-                                       pivots)))
-        if len(pivots) == r:
-            break
-    else:
-        raise InvariantError(f"sample weights do not determine the U({n}) "
-                             f"-> U({m}) moment polynomials")
-    held = next(samples, None)
-    if held is None:
-        raise InvariantError(f"no held-out sample weight for U({n}) -> U({m})")
+            raise InvariantError(
+                f"staircase weight {s} takes no new pivot in the U({n}) -> "
+                f"U({m}) moment interpolation")
+        pivots.append((col, row))
+    held = (n + degree,) + tuple(range(n - 2, -1, -1))
     if any(_eliminate(_sample_row(held, m, orders,
                                   _elementary_row(held, basis, degree)),
                       pivots)):
@@ -405,9 +402,30 @@ def _elementary_basis(n: int, degree: int) -> list[tuple[int, ...]]:
     """Partitions mu with |mu| <= degree and parts <= n.  The products e_mu
     of elementary symmetric polynomials form a basis of the symmetric
     polynomials of degree <= degree in n variables; power sums p_mu do not,
-    as they become linearly dependent once n < |mu|."""
+    as they become linearly dependent once n < |mu|.  Their conjugates are
+    the partitions of `_staircase`, so the staircase has one point per
+    basis element, and those points determine the coefficients."""
     return [mu for k in range(degree + 1) for mu in integer_partitions(k)
             if max(mu, default=0) <= n]
+
+
+def _staircase(n: int, degree: int) -> list[tuple[int, ...]]:
+    """The shifted weights rho + lambda, rho = (n-1, ..., 1, 0), of the
+    partitions lambda with |lambda| <= degree and at most n parts, smallest
+    first.  The shifted Schur function s*_mu, a symmetric polynomial of
+    degree |mu| in the shifted weight, vanishes at rho + lambda unless mu is
+    contained in lambda, and not at rho + mu (Okounkov-Olshanski,
+    arXiv:q-alg/9605042).  So the s*_mu of these lambda form a triangular
+    basis, and a symmetric polynomial of degree <= degree in n variables is
+    determined by its values here.
+
+    >>> _staircase(2, 2)
+    [(1, 0), (2, 0), (3, 0), (2, 1)]
+    """
+    return [tuple(x + n - 1 - i
+                  for i, x in enumerate(lam + (0,) * (n - len(lam))))
+            for k in range(degree + 1) for lam in integer_partitions(k)
+            if len(lam) <= n]
 
 
 def _elementary_row(entries: Sequence[int], basis, degree: int) -> list[int]:
@@ -432,35 +450,6 @@ def _eliminate(row: list[int], pivots) -> list[int]:
             if g > 1:
                 row = [a // g for a in row]
     return row
-
-
-def _sample_weights(n: int, degree: int):
-    """Small shifted weights, cheapest to enumerate first: the entries
-    (n-1, ..., 1, 0) moved by an offset c, with neighbouring gaps 1 + g_i,
-    in order of size sum(g_i) + |c|.  The g_i range over 0..top with
-    top = max(2, degree // 2), so that one gap takes degree // 2 + 1 values,
-    as a polynomial of that degree in the square of a gap needs (n = 2)."""
-    top = max(2, degree // 2)
-
-    def excesses(slots, total):
-        if total > top * slots:
-            return
-        if slots == 0:
-            yield ()
-            return
-        for first in range(min(total, top) + 1):
-            for tail in excesses(slots - 1, total - first):
-                yield (first,) + tail
-
-    for size in range(top * (n - 1) + degree + 2):
-        for excess in range(min(size, top * (n - 1)) + 1):
-            c = size - excess
-            for gaps in excesses(n - 1, excess):
-                for offset in ((c, -c) if c else (0,)):
-                    entries = [offset]
-                    for g in reversed(gaps):
-                        entries.append(entries[-1] + 1 + g)
-                    yield tuple(reversed(entries))
 
 
 # -- exact statistics of the component distribution ---------------------------

@@ -15,7 +15,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    HealthCheck, example, given, settings, strategies as st)
 
 from hofree import cli  # noqa: E402
 from hofree.experiments import ExperimentConfig  # noqa: E402
@@ -159,7 +160,11 @@ config_objects = st.fixed_dictionaries({}, optional={
     key: _kinds.get(key, numbers) | json_values for key in cli._CONFIG_SCHEMA})
 
 
-@settings(derandomize=True, max_examples=300)
+# st.text builds Hypothesis's unicode charmap on first use (about 2 s) when
+# no .hypothesis/ directory holds it yet, which the health check counts as
+# slow input generation
+@settings(derandomize=True, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(config_objects)
 def test_any_config_object_is_a_config_or_a_value_error(raw):
     # the CLI turns a ValueError into exit 2 with an error line; anything

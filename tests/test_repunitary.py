@@ -526,13 +526,60 @@ def test_restriction_mean_moments_match_enumeration():
             enumerated_restriction_means(l, m, (1, 2, 3, 4))
 
 
+def test_restriction_mean_moments_on_the_staircase_to_order_8():
+    # degree 8 exceeds n, so the basis drops partitions with parts above n
+    rng = random.Random(47)
+    orders = tuple(range(1, 9))
+    for n in (3, 4):
+        for m in range(1, n):
+            for _ in range(2):
+                lam = random_weight(rng, n, lo=-3, hi=3)
+                l = ShiftedWeight.from_highest_weight(lam)
+                assert restriction_mean_moments(l, m, orders) == \
+                    enumerated_restriction_means(l, m, orders), (lam, m)
+
+
 def test_restriction_mean_moments_orders():
     l = ShiftedWeight.from_highest_weight((5, 2, -1))
     assert restriction_mean_moments(l, 2, (3, 1, 6)) == \
         enumerated_restriction_means(l, 2, (3, 1, 6))
     assert restriction_mean_moments(l, 2, ()) == []
+    assert restriction_mean_moments(l, 2, (0, 2)) == \
+        [1] + enumerated_restriction_means(l, 2, (2,))
     with pytest.raises(ValueError):
         restriction_mean_moments(l, 3, (1,))
+    for orders in ((-1,), (1, -2), (1.5,), ("2",)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            restriction_mean_moments(l, 2, orders)
+
+
+def test_restriction_interpolant_samples_the_staircase_and_one_more(
+        monkeypatch):
+    # one node per basis polynomial, as conjugate partitions pair them
+    for n in range(2, 7):
+        for k in range(9):
+            assert len(repunitary._staircase(n, k)) == \
+                len(repunitary._elementary_basis(n, k))
+    sample_row = repunitary._sample_row
+    calls = []
+
+    def recorded(entries, m, orders, basis_row):
+        calls.append(entries)
+        return sample_row(entries, m, orders, basis_row)
+
+    monkeypatch.setattr(repunitary, "_sample_row", recorded)
+    restriction_mean_moments(sw(9, 5, 2, 0), 2, (1, 2, 3))
+    # the held-out weight rho + (4, 0, 0, 0) lies off the staircase
+    assert calls == repunitary._staircase(4, 3) + [(7, 2, 1, 0)]
+
+
+def test_restriction_interpolant_repeated_staircase_point_raises(monkeypatch):
+    # a staircase that repeats a point cannot determine the polynomial
+    staircase = repunitary._staircase
+    monkeypatch.setattr(repunitary, "_staircase", lambda n, degree: [
+        s for s in staircase(n, degree) for _ in range(2)])
+    with pytest.raises(InvariantError, match="no new pivot"):
+        restriction_mean_moments(sw(9, 5, 2, 0), 2, (1, 2, 3))
 
 
 def test_restriction_interpolant_held_out_check_raises(monkeypatch):
