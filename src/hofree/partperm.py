@@ -429,9 +429,8 @@ def contiguous_cycles(*lengths: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _partperm_tuples(k: int) -> Iterator[tuple]:
-    """(V.block_of, pi.images, |(V, pi)| = k + #pi - 2 #V) of every (V, pi)
-    on {0..k-1}, in `partitioned_permutations` order, building no object per pair."""
+def partitioned_permutations(k: int) -> Iterator[PartitionedPermutation]:
+    """All (V, pi) on {0..k-1}, lexicographic in (canonical V, one-line pi)."""
     if k > ENUMERATION_LIMIT:
         raise GuardError(
             f"enumeration of partitioned permutations is limited to "
@@ -447,10 +446,25 @@ def _partperm_tuples(k: int) -> Iterator[tuple]:
                     images[src] = dst
             perms.append(tuple(images))
         for images in sorted(perms):
-            yield v.block_of, images, k + _num_cycles(images) - 2 * len(blocks)
+            yield PartitionedPermutation(v, Permutation(images))
 
 
-def partitioned_permutations(k: int) -> Iterator[PartitionedPermutation]:
-    """All (V, pi) on {0..k-1}, lexicographic in (canonical V, one-line pi)."""
-    for block_of, images, _ in _partperm_tuples(k):
-        yield PartitionedPermutation(SetPartition(block_of), Permutation(images))
+def _coarsenings(images: Sequence[int]) -> Iterator[tuple]:
+    """(V.block_of, |(V, pi)| = k + #pi - 2 #V) of every V >= C(pi), for pi
+    = images: each set partition of pi's cycles once, a block labelled by
+    its least element."""
+    cycle_of, mins = [-1] * len(images), []
+    for m in range(len(images)):
+        j = m
+        while cycle_of[j] < 0:
+            cycle_of[j] = len(mins)
+            j = images[j]
+        if cycle_of[m] == len(mins):
+            mins.append(m)
+    merged = [((), ())]         # (each cycle's block label, the labels used)
+    for m in mins:
+        merged = [(label + (b,), used + (m,) if b == m else used)
+                  for label, used in merged for b in used + (m,)]
+    for label, used in merged:
+        yield (tuple([label[c] for c in cycle_of]),
+               len(images) + len(mins) - 2 * len(used))

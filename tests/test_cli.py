@@ -9,6 +9,7 @@ import pytest
 from hofree import rmt
 from hofree.cli import main
 from hofree.experiments import RESTRICTION_AMPLITUDE, TENSOR_BULK_AMPLITUDE
+from hofree.hof import MAX_MATRIX_SIZE
 
 HOF_CHECK_REFERENCE = (Path(__file__).resolve().parents[1] / "bench"
                        / "reference" / "hof_check" / "stdout.txt")
@@ -108,6 +109,17 @@ def test_hof_check_passes_and_guards(capsys):
         assert code == 2
         assert out == ""
         assert err == "error: matrix sizes must be positive\n"
+
+
+def test_hof_check_refuses_a_size_beyond_the_limit(capsys):
+    # a huge size used to build its n-atom spectrum and die in a MemoryError
+    for n in ("99999999999", f"3,{MAX_MATRIX_SIZE + 1}"):
+        code, out, err = run_cli(capsys, "hof-check", "--n", n, "--max-order",
+                                 "1", "--inequality-order", "1")
+        assert code == 3
+        assert out == ""
+        assert err == ("refused: matrix sizes are limited to "
+                       f"n <= {MAX_MATRIX_SIZE}\n")
 
 
 def test_simulate_deterministic_and_formats(tmp_path, capsys):

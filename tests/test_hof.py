@@ -18,6 +18,7 @@ from hofree.partperm import (
     PartitionedPermutation,
     Permutation,
     SetPartition,
+    _join_cycles,
     conjugacy_key,
     contiguous_cycles,
     integer_partitions,
@@ -291,15 +292,32 @@ def test_triangle_inequality_small():
 
 
 def test_cycle_row_counts_the_cycles_of_gamma_pi_inverse():
-    # hof_check's triangle sweep reads pi^-1 and every #(gamma pi^-1) from
-    # this row; a count of gamma pi or pi gamma would differ here
+    # hof_check's triangle sweep reads every #(gamma pi^-1) from this row;
+    # a count of gamma pi or pi gamma would differ here
     for k in range(1, 6):
         gammas = [contiguous_cycles(*c) for c in integer_partitions(k)]
         for images in itertools.permutations(range(k)):
             inv = Permutation(images).inverse()
             row = _cycle_row(images, [g.images for g in gammas])
-            assert tuple(row[:k]) == inv.images
-            assert list(row[k:]) == [(g * inv).num_cycles() for g in gammas]
+            assert list(row) == [(g * inv).num_cycles() for g in gammas]
+
+
+def test_join_with_pi_inverse_gamma_is_the_join_with_gamma():
+    # the triangle sweep rests on V >= C(pi) giving V v C(pi^-1 gamma) =
+    # V v C(gamma), so that leq_pp(vp, (1, gamma)) is e == 0 and V v C(gamma)
+    # = 1; checked for every gamma in S_k, not only the contiguous ones
+    for k in range(1, 6):
+        full = SetPartition.full(k)
+        gammas = list(map(Permutation, itertools.permutations(range(k))))
+        for vp in partitioned_permutations(k):
+            block_of = vp.partition.block_of
+            inv = vp.permutation.inverse()
+            for gamma in gammas:
+                joined = _join_cycles(block_of, gamma.images)
+                assert _join_cycles(block_of, (inv * gamma).images) == joined
+                e = scaling_exponent(vp, gamma)
+                below = e == 0 and joined == full.block_of
+                assert below == leq_pp(vp, PartitionedPermutation(full, gamma))
 
 
 def test_kappa_mc_matches_exact():

@@ -8,7 +8,7 @@ import pytest
 from hofree.errors import GuardError
 from hofree.partperm import (
     ENUMERATION_LIMIT,
-    _partperm_tuples,
+    _coarsenings,
     Permutation,
     PartitionedPermutation,
     SetPartition,
@@ -442,14 +442,12 @@ def test_enumeration_is_deterministic_unique_and_guarded():
         next(partitioned_permutations(ENUMERATION_LIMIT + 1))
 
 
-def test_tuple_enumeration_is_the_partitioned_permutations():
-    # the tuples the triangle sweep streams are exactly the enumerated
-    # pairs, in order, with their lengths; and both are every (V, pi) with
-    # pi inside the blocks of V, sorted by (canonical V, one-line pi)
+def test_enumeration_is_every_refining_pair_in_order():
+    # every (V, pi) with pi inside the blocks of V, sorted by (canonical V,
+    # one-line pi), with its length
     for k in range(1, 7):
-        tuples = list(_partperm_tuples(k))
-        assert tuples == [(vp.partition.block_of, vp.permutation.images,
-                           vp.length()) for vp in partitioned_permutations(k)]
+        pairs = [(vp.partition.block_of, vp.permutation.images, vp.length())
+                 for vp in partitioned_permutations(k)]
         brute = sorted(
             (v.block_of, images,
              Permutation(images).length()
@@ -457,9 +455,22 @@ def test_tuple_enumeration_is_the_partitioned_permutations():
             for v in set_partitions(k)
             for images in itertools.permutations(range(k))
             if all(v.block_of[i] == v.block_of[j] for i, j in enumerate(images)))
-        assert tuples == brute, k
+        assert pairs == brute, k
     with pytest.raises(GuardError):
-        next(_partperm_tuples(ENUMERATION_LIMIT + 1))
+        next(partitioned_permutations(ENUMERATION_LIMIT + 1))
+
+
+def test_coarsenings_are_the_pairs_of_each_permutation():
+    # hof_check's triangle sweep reads every (V, pi) as pi's coarsenings:
+    # exactly the V with (V, pi) enumerated, each once, with |(V, pi)|
+    for k in range(1, 7):
+        by_pi = {}
+        for vp in partitioned_permutations(k):
+            by_pi.setdefault(vp.permutation.images, []).append(
+                (vp.partition.block_of, vp.length()))
+        assert len(by_pi) == math.factorial(k)
+        for images, pairs in by_pi.items():
+            assert sorted(_coarsenings(images)) == pairs, images
 
 
 def test_value_types_built_from_lists_store_tuples():

@@ -1,8 +1,8 @@
 """Property tests: the naive/natural conversion round trip, the conjugacy
 invariant, the tuple-level partial order and scaling exponent against their
 object-built definitions, the tensor decompositions against the
-recursive oracle, and the config-file and `--alpha` boundaries, over inputs
-drawn by Hypothesis (derandomized, so reproducible)."""
+recursive oracle, and the config-file, `--alpha` and `hof-check` boundaries,
+over inputs drawn by Hypothesis (derandomized, so reproducible)."""
 
 import argparse
 import contextlib
@@ -206,3 +206,28 @@ def test_any_alpha_text_exits_with_a_documented_code(text):
                          "--replicas", "2", f"--alpha={text}"])
     assert code in (0, 2, 3), text
     assert code == 0 or err.getvalue().startswith("error: alpha"), text
+
+
+# sizes from 9 up to `hof.MAX_MATRIX_SIZE` are valid but take up to seconds
+# each, so the drawn sizes are either small or far beyond that limit
+_size = st.integers(-1, 8) | st.integers(2 ** 40, 10 ** 30)
+_order = st.integers(0, 7) | st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(_size, min_size=1, max_size=2).map(
+           lambda sizes: ",".join(map(str, sizes))),
+       _order.map(str), _order.map(str))
+@example("99999999999", "1", "1")
+@example("4,5", "4", "6")
+def test_any_hof_check_text_exits_with_a_documented_code(
+        sizes, max_order, inequality_order):
+    # a size, order or list that cannot be checked is refused at the
+    # boundary with exit 2 or 3 and one error line, never a traceback
+    argv = ["hof-check", f"--n={sizes}", f"--max-order={max_order}",
+            f"--inequality-order={inequality_order}"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2, 3), argv
+    assert code == 0 or err.getvalue().startswith(("error:", "refused:")), argv
