@@ -335,8 +335,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse's exit: 0 for --help, 2 for a refusal
+        return exc.code
     try:
         experiments.check_threads(args.threads)
         # only the commands that build an ExperimentConfig read --config

@@ -257,8 +257,8 @@ def estimate_cumulants(samples: np.ndarray, columns: Sequence[int],
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("need a 2d array with at least 2 replicas")
-    if len(columns) > 4:
-        raise ValueError("estimation is supported for joint orders <= 4")
+    if not 1 <= len(columns) <= 4:
+        raise ValueError("estimation is supported for joint orders 1 to 4")
     if rng is None:
         rng = np.random.default_rng(0)
     (value,), (stderr,) = bootstrap(

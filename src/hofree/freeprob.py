@@ -69,6 +69,8 @@ def free_compress(moments: Sequence, alpha, order: int | None = None) -> list:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if order is None:
         order = len(moments)
+    if len(moments) < order:
+        raise ValueError("the moments must be defined to the requested order")
     kappa = moments_to_free_cumulants(list(moments)[:order])
     scaled = [alpha ** m * k for m, k in enumerate(kappa)]
     return free_cumulants_to_moments(scaled)

@@ -227,6 +227,8 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
     if not 1 <= inequality_order <= 6:
         raise ValueError(f"the inequality order must lie in [1, 6]; "
                          f"got {inequality_order}")
+    if not ns:
+        raise ValueError("need at least one matrix size")
     if len(set(ns)) != len(ns):
         raise ValueError(f"matrix sizes must not repeat; got {list(ns)}")
     if any(n < 1 for n in ns):

@@ -5,7 +5,8 @@ permutation pi whose cycles are contained in blocks of V.  The module provides
 the lattice operations and Mobius function of the partition lattice, the
 length functions, the partial product and partial order of partitioned
 permutations, conjugation with its complete invariant (the multiset of
-per-block cycle types), and exhaustive enumeration.
+per-block cycle types), and exhaustive enumeration, whose set partitions
+all come from one streaming walk over those of a permutation's cycles.
 
 All values are immutable and hashable, all operations are pure.  Values a
 type stores beside its fields (a permutation's cycles and inverse, a pair's
@@ -212,21 +213,16 @@ class SetPartition:
 
 
 def set_partitions(k: int) -> Iterator[SetPartition]:
-    """All set partitions of {0..k-1}, in lexicographic order of canonical form."""
-    if k == 0:
-        yield SetPartition(())
-        return
+    """All set partitions of {0..k-1}, the coarsenings of the identity, in
+    lexicographic order of canonical form.
 
-    def rec(prefix: list[int], ids: list[int]):
-        i = len(prefix)
-        if i == k:
-            yield SetPartition(tuple(prefix))
-            return
-        for b in ids:
-            yield from rec(prefix + [b], ids)
-        yield from rec(prefix + [i], ids + [i])
-
-    yield from rec([0], [0])
+    >>> [p.block_of for p in set_partitions(3)]
+    [(0, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    """
+    if k < 0:
+        raise ValueError(f"the ground-set size must be nonnegative; got {k}")
+    for block_of, _ in _coarsenings(range(k)):
+        yield SetPartition(block_of)
 
 
 def _mobius_whole(m: int) -> int:
@@ -255,30 +251,14 @@ def mobius(a: SetPartition, b: SetPartition) -> int:
 
 
 def interval(a: SetPartition, b: SetPartition) -> Iterator[SetPartition]:
-    """All partitions c with a <= c <= b, built blockwise inside b."""
+    """All c with a <= c <= b: the coarsenings of a's blocks that refine b."""
     if not a.refines(b):
         raise ValueError("a does not refine b")
-    groups: dict[int, list[int]] = {}
-    seen = set()
-    for i, blk in enumerate(a.block_of):
-        if blk not in seen:
-            seen.add(blk)
-            groups.setdefault(b.block_of[i], []).append(blk)
-    group_ids = sorted(groups)
-    per_group = []
-    for g in group_ids:
-        ids = groups[g]
-        ways = []
-        for p in set_partitions(len(ids)):
-            ways.append(tuple(tuple(ids[i] for i in blk) for blk in p.blocks()))
-        per_group.append(ways)
-    a_blocks = {min(blk): blk for blk in a.blocks()}
-    for choice in itertools.product(*per_group):
-        merged = []
-        for ways in choice:
-            for id_group in ways:
-                merged.append([e for bid in id_group for e in a_blocks[bid]])
-        yield SetPartition.from_blocks(a.size, merged)
+    images = Permutation.from_cycles(a.size, *a.blocks()).images
+    for block_of, _ in _coarsenings(images):
+        c = SetPartition(block_of)
+        if c.refines(b):
+            yield c
 
 
 @dataclass(frozen=True)
@@ -452,7 +432,8 @@ def partitioned_permutations(k: int) -> Iterator[PartitionedPermutation]:
 def _coarsenings(images: Sequence[int]) -> Iterator[tuple]:
     """(V.block_of, |(V, pi)| = k + #pi - 2 #V) of every V >= C(pi), for pi
     = images: each set partition of pi's cycles once, a block labelled by
-    its least element."""
+    its least element, in lexicographic order of V.  The walk streams: it
+    holds one path of labels and their siblings, not every V."""
     cycle_of, mins = [-1] * len(images), []
     for m in range(len(images)):
         j = m
@@ -461,10 +442,21 @@ def _coarsenings(images: Sequence[int]) -> Iterator[tuple]:
             j = images[j]
         if cycle_of[m] == len(mins):
             mins.append(m)
-    merged = [((), ())]         # (each cycle's block label, the labels used)
-    for m in mins:
-        merged = [(label + (b,), used + (m,) if b == m else used)
-                  for label, used in merged for b in used + (m,)]
-    for label, used in merged:
-        yield (tuple([label[c] for c in cycle_of]),
-               len(images) + len(mins) - 2 * len(used))
+    k, n = len(images), len(mins)
+    if not n:
+        yield (), 0
+        return
+    # depth first, children in increasing label order, so lexicographic in V;
+    # the last cycle's labels are yielded, not stacked
+    stack = [((), ())]          # (the first cycles' block labels, labels used)
+    while stack:
+        label, used = stack.pop()
+        m = mins[len(label)]
+        if len(label) + 1 < n:
+            stack.append((label + (m,), used + (m,)))
+            stack.extend([(label + (b,), used) for b in reversed(used)])
+            continue
+        for b in used + (m,):
+            full = label + (b,)
+            yield (tuple([full[c] for c in cycle_of]),
+                   k + n - 2 * (len(used) + (b == m)))

@@ -101,9 +101,6 @@ class AtomicMeasure:
         atoms = tuple(sorted((loc, w) for loc, w in merged.items() if w != 0))
         return cls(atoms)
 
-    def total(self):
-        return sum(w for _, w in self.atoms)
-
     def moment(self, k: int):
         return sum(w * loc ** k for loc, w in self.atoms)
 

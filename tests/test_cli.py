@@ -151,10 +151,8 @@ def test_simulate_deterministic_and_formats(tmp_path, capsys):
 def test_simulate_draws_each_replica_once_and_has_no_svg(tmp_path, capsys,
                                                         monkeypatch):
     # --svg is gone: argparse refuses it (exit 2) before anything is written
-    with pytest.raises(SystemExit) as refused:
-        main(["--out", str(tmp_path / "svg"), "simulate", "--spectrum",
-              "1,0,-1", "--replicas", "10", "--svg"])
-    assert refused.value.code == 2
+    assert main(["--out", str(tmp_path / "svg"), "simulate", "--spectrum",
+                 "1,0,-1", "--replicas", "10", "--svg"]) == 2
     assert not (tmp_path / "svg").exists()
     capsys.readouterr()
     corner_traces = rmt.corner_traces
@@ -171,6 +169,27 @@ def test_simulate_draws_each_replica_once_and_has_no_svg(tmp_path, capsys,
     assert len(calls) == 40
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
         ["summary.json", "traces.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hof-check", "--n", "abc"],
+    ["hof-check", "--n", "-3,4"],
+    [],
+    ["spectral"],
+])
+def test_malformed_argv_returns_two_and_writes_nothing(tmp_path, capsys, argv):
+    # argparse's refusal is returned as an exit code, not raised
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert not out_dir.exists()
+
+
+def test_help_returns_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_tensor_command_small(tmp_path, capsys):

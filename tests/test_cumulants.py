@@ -312,3 +312,10 @@ def test_estimate_product_of_independent_normals():
 def test_estimate_requires_replicas():
     with pytest.raises(ValueError):
         estimate_cumulants(np.ones((1, 2)), (0,))
+
+
+def test_estimate_refuses_joint_orders_outside_one_to_four():
+    samples = np.arange(10.0).reshape(5, 2)
+    for columns in ([], (0, 1, 0, 1, 0)):
+        with pytest.raises(ValueError, match="joint orders 1 to 4"):
+            estimate_cumulants(samples, columns)

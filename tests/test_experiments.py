@@ -123,6 +123,9 @@ def test_hof_check_report_structure():
     for ns in ((0,), (3, -1)):
         with pytest.raises(ValueError, match="matrix sizes must be positive"):
             hof_check(ns, max_order=2, inequality_order=2)
+    # no size would check no identity and still report success
+    with pytest.raises(ValueError, match="at least one matrix size"):
+        hof_check((), max_order=2, inequality_order=2)
 
 
 def test_hof_check_equals_the_per_pattern_report():

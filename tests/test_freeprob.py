@@ -163,6 +163,13 @@ def test_compress_alpha_range():
         free_compress([0, 1], Fraction(3, 2))
 
 
+def test_compress_refuses_an_order_beyond_the_moments():
+    # as free_convolve does, instead of returning fewer moments than asked
+    assert len(free_compress([1, 2, 3], Fraction(1, 2), 2)) == 2
+    with pytest.raises(ValueError, match="requested order"):
+        free_compress([1, 2, 3], Fraction(1, 2), 5)
+
+
 def test_convolution_matches_matrix_monte_carlo():
     # spectra of two independent 256x256 conjugated reflections: the sum's
     # empirical moments match the free convolution within 3 standard errors

@@ -199,13 +199,26 @@ def test_join_is_the_least_upper_bound():
 
 
 def test_set_partition_enumeration_counts_and_order():
-    bell = [1, 1, 2, 5, 15, 52, 203]
+    # Bell(k) distinct partitions in increasing canonical form: every one of
+    # them, in lexicographic order
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     for k, expected in enumerate(bell):
         parts = list(set_partitions(k))
         assert len(parts) == expected
         assert len(set(parts)) == expected
         keys = [p.block_of for p in parts]
         assert keys == sorted(keys)
+
+
+def test_set_partitions_stream():
+    # the walk holds one path of labels, not the Bell(30) partitions
+    assert next(iter(set_partitions(30))) == SetPartition.full(30)
+
+
+def test_negative_ground_set_sizes_refused():
+    for enumerate_k in (set_partitions, partitioned_permutations):
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(enumerate_k(-1))
 
 
 def test_mobius_small_values():
@@ -221,14 +234,19 @@ def test_mobius_small_values():
 
 
 def test_mobius_interval_sums_vanish():
-    # sum_{a <= c <= b} mu(a, c) = 0 whenever a < b, exhaustively for k <= 5
+    # interval(a, b) is every c with a <= c <= b once, and sum_{a <= c <= b}
+    # mu(a, c) = 0 whenever a < b, exhaustively for k <= 5
     for k in range(1, 6):
         parts = list(set_partitions(k))
         for a in parts:
             for b in parts:
                 if not a.refines(b):
                     continue
-                total = sum(mobius(a, c) for c in interval(a, b))
+                between = list(interval(a, b))
+                assert len(set(between)) == len(between)
+                assert set(between) == {c for c in parts
+                                        if a.refines(c) and c.refines(b)}
+                total = sum(mobius(a, c) for c in between)
                 assert total == (1 if a == b else 0)
 
 
@@ -462,7 +480,8 @@ def test_enumeration_is_every_refining_pair_in_order():
 
 def test_coarsenings_are_the_pairs_of_each_permutation():
     # hof_check's triangle sweep reads every (V, pi) as pi's coarsenings:
-    # exactly the V with (V, pi) enumerated, each once, with |(V, pi)|
+    # exactly the V with (V, pi) enumerated, each once, with |(V, pi)|, in
+    # the same order
     for k in range(1, 7):
         by_pi = {}
         for vp in partitioned_permutations(k):
@@ -470,7 +489,7 @@ def test_coarsenings_are_the_pairs_of_each_permutation():
                 (vp.partition.block_of, vp.length()))
         assert len(by_pi) == math.factorial(k)
         for images, pairs in by_pi.items():
-            assert sorted(_coarsenings(images)) == pairs, images
+            assert list(_coarsenings(images)) == pairs, images
 
 
 def test_value_types_built_from_lists_store_tuples():

@@ -94,6 +94,8 @@ def test_fixed_spectrum_traces_are_deterministic():
     table = trace_statistics(spec, (2,), replicas=64, seed=5)
     assert np.allclose(table.column(2), 8 / 3, atol=1e-12)
     assert table.column(2).std() <= 1e-13
+    with pytest.raises(ValueError, match="joint orders 1 to 4"):
+        table.estimate_cumulant(())
 
 
 def test_mixture_frequencies():
