@@ -259,6 +259,8 @@ def estimate_cumulants(samples: np.ndarray, columns: Sequence[int],
         raise ValueError("need a 2d array with at least 2 replicas")
     if not 1 <= len(columns) <= 4:
         raise ValueError("estimation is supported for joint orders 1 to 4")
+    if not all(0 <= c < samples.shape[1] for c in columns):
+        raise ValueError(f"columns must lie in [0, {samples.shape[1]}): {columns}")
     if rng is None:
         rng = np.random.default_rng(0)
     (value,), (stderr,) = bootstrap(

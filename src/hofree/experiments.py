@@ -1,12 +1,12 @@
-"""Desk-scale tensor and restriction experiments, comparing representation
-decompositions with random-matrix Monte Carlo and free-probability targets.
+"""Tensor and restriction experiments: exact statistics of random components
+against random-matrix Monte Carlo and free-probability targets.
 
 Default weight profiles grow like n^(3/2) (matching the rescaling
 eps_n = n^(-3/2)): the bulk factor is a linear shape vanishing at the right
 edge, lambda_i = round(c * sqrt(n) * (n - i)), and the one-row Pieri factor
 has length round(c2 * sqrt(n) * (n-1)^2 / n).  The constants were chosen so
 that the finite-n gap against the free targets shrinks monotonically on the
-default schedule while the enumerations stay desk-sized.
+default schedule.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .partperm import (
 )
 from .repunitary import (
     ShiftedWeight,
-    pieri_decompose,
-    pushforward_stats,
+    pieri_component_count,
+    pieri_stats,
     restriction_mean_moments,
 )
 
@@ -123,8 +123,8 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
         lam = bulk_profile(n, config.amplitude)
         row = row_profile(n, config.row_amplitude)
         eps = config.eps(n)
-        decomposition = pieri_decompose(lam, row, n)
-        stats = pushforward_stats(decomposition, orders)
+        stats = pieri_stats(lam, row, n, orders)
+        components = pieri_component_count(lam, row, n)
         la = ShiftedWeight.from_highest_weight(lam)
         lb = ShiftedWeight.from_highest_weight((row,) + (0,) * (n - 1))
         target = free_convolve(naive_moments_of_weight(la, config.max_order),
@@ -143,7 +143,7 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
             rows.append({
                 "n": n,
                 "k": k,
-                "components": len(decomposition),
+                "components": components,
                 # floats carry the eps_n scaling; the *_exact fields are the
                 # unscaled rationals (eps_n itself is irrational)
                 "rep_mean": float(stats.mean[i]) * scale,

@@ -53,10 +53,11 @@ def moments_to_free_cumulants(moments: Sequence) -> list:
 
 def free_convolve(a: Sequence, b: Sequence, order: int | None = None) -> list:
     """Moments of the free additive convolution, to the requested order."""
+    top = min(len(a), len(b))
     if order is None:
-        order = min(len(a), len(b))
-    if len(a) < order or len(b) < order:
-        raise ValueError("both inputs must be defined to the requested order")
+        order = top
+    if not 1 <= order <= top:
+        raise ValueError(f"the requested order {order} is outside [1, {top}]")
     ka = moments_to_free_cumulants(list(a)[:order])
     kb = moments_to_free_cumulants(list(b)[:order])
     return free_cumulants_to_moments([x + y for x, y in zip(ka, kb)])
@@ -69,8 +70,8 @@ def free_compress(moments: Sequence, alpha, order: int | None = None) -> list:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if order is None:
         order = len(moments)
-    if len(moments) < order:
-        raise ValueError("the moments must be defined to the requested order")
+    if not 1 <= order <= len(moments):
+        raise ValueError(f"the requested order {order} is outside [1, {len(moments)}]")
     kappa = moments_to_free_cumulants(list(moments)[:order])
     scaled = [alpha ** m * k for m, k in enumerate(kappa)]
     return free_cumulants_to_moments(scaled)

@@ -5,21 +5,19 @@ decreasing integers, l_i = lambda_i + n - i); ordinary highest weights appear
 only at API boundaries.  The module computes Weyl dimensions, the uniform
 ("naive") and weighted ("natural") spectral measures, the conversion
 between their moments (one truncated exp or log of a power series in the
-power sums), tensor-product decompositions from one horizontal-strip step
-(Pieri is one strip; Littlewood-Richardson one per letter of the second
-factor, equal tableau states merged), restriction to smaller unitary groups
-(interlacing chains counted by composing one-step branchings at small
-weights; branch means at any weight interpolated from those), and the exact
-mean and covariance of the naive-measure moments of a component drawn with
-probability multiplicity times dimension over the total dimension.
+power sums), Littlewood-Richardson tensor decompositions from one
+horizontal-strip step per letter, and, from shifted Schur functions at any
+n, the exact mean and covariance of the naive-measure moments of a random
+component of V_lambda (x) V_(r) and the branch means of a restriction to U(m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, gcd, prod
+from functools import lru_cache
+from itertools import accumulate
+from math import comb, perm, prod
 from numbers import Integral
 from typing import Sequence
 
@@ -28,7 +26,7 @@ from .partperm import integer_partitions
 
 LR_MAX_RANK = 8
 LR_MAX_CELLS = 40
-PUSHFORWARD_MAX_COMPONENTS = 10 ** 7
+SHIFTED_SCHUR_MAX_DEGREE = 20
 
 
 @dataclass(frozen=True, order=True)
@@ -298,155 +296,137 @@ def lr_tensor_decompose(lam: Sequence[int], mu: Sequence[int],
     return result
 
 
-def pieri_decompose(lam: Sequence[int], row: int, n: int) -> WeightedDecomposition:
-    """Tensor with the one-row representation of the given length: components
-    are lam + horizontal strips of that size, each with multiplicity one."""
+def pieri_component_count(lam: Sequence[int], row: int, n: int) -> int:
+    """Number of components of V_lam (x) V_(row): strips of `row` boxes, row
+    j >= 1 taking a_j <= g_j = lam_(j-1) - lam_j and row 0 the rest; ways[s]
+    counts the a of sum s <= min(row, sum(g) - row - 1), a -> g - a the rest."""
     lam = _check_highest_weight(lam, n)
     if row < 0:
         raise ValueError("row length must be nonnegative")
-    return WeightedDecomposition.from_dict(n, {
-        ShiftedWeight.from_highest_weight(shape): 1
-        for shape, _ in _strips(lam, row)})
+    gaps = [a - b for a, b in zip(lam, lam[1:])]
+    top = min(row, sum(gaps) - row - 1)
+    ways = [1] if top >= 0 else []
+    for g in gaps:
+        prefix = [0, *accumulate(ways)]
+        ways = [prefix[min(s, len(ways) - 1) + 1] - prefix[max(0, s - g)]
+                for s in range(min(len(ways) - 1 + g, top) + 1)]
+    return sum(ways) if top == row else prod(g + 1 for g in gaps) - sum(ways)
 
 
-# -- restriction to U(m) ------------------------------------------------------
-
-def _chain_counts(entries: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
-    """Number of chains of interlacing shifted weights from entries down to
-    each shifted U(m) weight, by composing one-step branchings: one step from
-    l reaches each v in the box prod_i [l_{i+1}, l_i) once.  The box grows
-    with the gaps of l, so this is meant for small weights."""
-    counts = {entries: 1}
-    for _ in range(len(entries) - m):
-        step: dict[tuple[int, ...], int] = {}
-        for l, c in counts.items():
-            for v in product(*map(range, l[1:], l[:-1])):
-                step[v] = step.get(v, 0) + c
-        counts = step
-    return counts
-
-
-def restriction_mean_moments(l: ShiftedWeight, m: int,
-                             orders: Sequence[int]) -> list:
-    """Exact expectations of the naive-measure moments of a random
-    restricted component, without enumerating the support of l.
-
-    E[p_k(u)], for u the shifted weight of a random U(m) component, is a
-    symmetric polynomial of degree <= k in the shifted weight l: one step of
-    branching sums Delta(v) g(v) over the box prod_i [l_{i+1}, l_i), an
-    alternant of Faulhaber polynomials divisible by Delta(l) (the finite-n
-    quantized compression of Bufetov-Gorin, arXiv:1311.5780).  The
-    polynomial is interpolated exactly from its enumerated values on the
-    staircase `_staircase(n, K)`, K the largest order, checked at
-    rho + (K + 1, 0, ..., 0), and evaluated at l.
-    """
-    n = l.n
-    if not 1 <= m < n:
-        raise ValueError(f"target rank must satisfy 1 <= m < {n}")
-    orders = tuple(orders)
-    if not all(isinstance(k, Integral) and k >= 0 for k in orders):
-        raise ValueError(f"orders must be nonnegative integers: {orders}")
-    degree = max(orders, default=0)
-    basis = _elementary_basis(n, degree)
-    r = len(basis)
-    # Integer rows [e_mu(s) | E p_k(s) | 0], scaled by dim(s), for the
-    # staircase weights s, in forward-eliminated form: (pivot column, row).
-    # Every row in their span is [a | b | 0] with a . C = b, C the
-    # coefficients.  The staircase is unisolvent, so every row takes a pivot.
-    pivots: list[tuple[int, list[int]]] = []
-    for s in _staircase(n, degree):
-        row = _eliminate(_sample_row(s, m, orders,
-                                     _elementary_row(s, basis, degree)),
-                         pivots)
-        col = next((j for j, x in enumerate(row[:r]) if x), None)
-        if col is None:
-            raise InvariantError(
-                f"staircase weight {s} takes no new pivot in the U({n}) -> "
-                f"U({m}) moment interpolation")
-        pivots.append((col, row))
-    held = (n + degree,) + tuple(range(n - 2, -1, -1))
-    if any(_eliminate(_sample_row(held, m, orders,
-                                  _elementary_row(held, basis, degree)),
-                      pivots)):
-        raise InvariantError(
-            f"U({n}) -> U({m}) moment interpolant disagrees with the "
-            f"enumeration at the held-out weight {held}")
-    # [e_mu(l) | 0 | 1] eliminates to [0 | -t E p_k(l) | t] for some t != 0
-    at_l = _eliminate(_elementary_row(l.entries, basis, degree)
-                      + [0] * len(orders) + [1], pivots)
-    return [Fraction(-x, at_l[-1] * m) for x in at_l[r:-1]]
-
-
-def _sample_row(entries: tuple[int, ...], m: int, orders: tuple[int, ...],
-                basis_row: list[int]) -> list[int]:
-    """[dim * e_mu | dim * E p_k(u) | 0] at one sample weight, u the shifted
-    weight of a random U(m) component, by counting interlacing chains."""
-    sums = [0] * len(orders)
-    total = 0
-    for v, count in _chain_counts(entries, m).items():
-        w = ShiftedWeight(v)
-        weight = count * weyl_dimension(w)
-        total += weight
-        for a, k in enumerate(orders):
-            sums[a] += weight * w.power_sum(k)
-    if total != weyl_dimension(ShiftedWeight(entries)):
-        raise InvariantError(f"restriction weights of {entries} do not sum "
-                             f"to the dimension")
-    return [total * x for x in basis_row] + sums + [0]
-
-
-def _elementary_basis(n: int, degree: int) -> list[tuple[int, ...]]:
-    """Partitions mu with |mu| <= degree and parts <= n.  The products e_mu
-    of elementary symmetric polynomials form a basis of the symmetric
-    polynomials of degree <= degree in n variables; power sums p_mu do not,
-    as they become linearly dependent once n < |mu|.  Their conjugates are
-    the partitions of `_staircase`, so the staircase has one point per
-    basis element, and those points determine the coefficients."""
-    return [mu for k in range(degree + 1) for mu in integer_partitions(k)
-            if max(mu, default=0) <= n]
-
+# -- shifted Schur functions --------------------------------------------------
+#
+# The s*_kappa (Okounkov-Olshanski, arXiv:q-alg/9605042), |kappa| <= D and at
+# most n parts, span the symmetric polynomials of degree <= D in the shifted
+# weight.  By s_lam(1 + x) / s_lam(1^n) = sum s*_kappa(lam) s_kappa(x) /
+# (n)_kappa, a component drawn with probability multiplicity times dimension
+# over the total has E s*_kappa = (m)_kappa / (n)_kappa s*_kappa(lam) on
+# restriction to U(m) (x_(m+1..n) = 0; Bufetov-Gorin, arXiv:1311.5780), and
+# E s*_kappa = (n)_kappa sum s*_alpha(lam) r_(j) / ((n)_alpha (n)_(j)) in
+# V_lam (x) V_(r), over the horizontal strips kappa / alpha of j boxes, where
+# r_(j) = r (r-1) ... (r-j+1) = s*_(j)(r, 0, ...).
 
 def _staircase(n: int, degree: int) -> list[tuple[int, ...]]:
-    """The shifted weights rho + lambda, rho = (n-1, ..., 1, 0), of the
-    partitions lambda with |lambda| <= degree and at most n parts, smallest
-    first.  The shifted Schur function s*_mu, a symmetric polynomial of
-    degree |mu| in the shifted weight, vanishes at rho + lambda unless mu is
-    contained in lambda, and not at rho + mu (Okounkov-Olshanski,
-    arXiv:q-alg/9605042).  So the s*_mu of these lambda form a triangular
-    basis, and a symmetric polynomial of degree <= degree in n variables is
-    determined by its values here.
+    """rho + nu for the nodes nu, the keys of _growth(degree, min(n, degree)).
 
     >>> _staircase(2, 2)
     [(1, 0), (2, 0), (3, 0), (2, 1)]
     """
-    return [tuple(x + n - 1 - i
-                  for i, x in enumerate(lam + (0,) * (n - len(lam))))
-            for k in range(degree + 1) for lam in integer_partitions(k)
-            if len(lam) <= n]
+    return [tuple(x + n - 1 - i for i, x in enumerate(nu + (0,) * (n - len(nu))))
+            for nu in _growth(degree, min(n, degree))]
 
 
-def _elementary_row(entries: Sequence[int], basis, degree: int) -> list[int]:
-    """e_mu(entries) for each mu in the basis."""
-    e = [1] + [0] * degree
-    for x in entries:
-        for j in range(degree, 0, -1):
-            e[j] += x * e[j - 1]
-    return [prod(e[p] for p in mu) for mu in basis]
+def _content_product(n: int, kappa: tuple[int, ...]) -> int:
+    """(n)_kappa, the product over the boxes of kappa of n + content."""
+    return prod(n + j - i for i, part in enumerate(kappa) for j in range(part))
 
 
-def _eliminate(row: list[int], pivots) -> list[int]:
-    """Fraction-free: combine row with the pivot rows until it vanishes in
-    every pivot column; the result is a nonzero multiple of row minus pivot
-    rows, which are used only as far as row reaches."""
-    for col, prow in pivots:
-        f = row[col]
-        if f:
-            g = gcd(f, prow[col])
-            row = [prow[col] // g * a - f // g * b for a, b in zip(row, prow)]
-            g = gcd(*row)
-            if g > 1:
-                row = [a // g for a in row]
-    return row
+@lru_cache(maxsize=8)
+def _growth(degree: int, rows: int) -> dict:
+    """kappa -> [(kappa + strip, contents of the strip's boxes)] over the
+    partitions of at most `degree` boxes and `rows` parts, smallest first
+    (the nodes, and the basis s*_kappa), and the strips that stay there."""
+    out = {}
+    for kappa in [lam for k in range(degree + 1)
+                  for lam in integer_partitions(k) if len(lam) <= rows]:
+        shape = kappa + (0,)
+        out[kappa] = [
+            (grown, tuple(j - i for i, (a, b) in enumerate(zip(shape, new))
+                          for j in range(a, b)))
+            for size in range(degree - sum(kappa) + 1)
+            for new, _ in _strips(shape, size)
+            if len(grown := tuple(x for x in new if x)) <= rows]
+    return out
+
+
+def _shifted_schur(lam: Sequence[int], degree: int, rows: int) -> dict:
+    """s*_kappa(lam) for the kappa of _growth(degree, rows), rows <= degree:
+    the sum over the fillings of kappa by 1..n, weakly decreasing along rows
+    and strictly down columns, of the product over the boxes of lam_t -
+    content, t the box's entry.  The boxes holding t form a horizontal
+    strip, added for t = n down to 1.  s*_kappa(nu) = 0 unless kappa lies
+    in nu, and s*_nu(nu) is nu's hook product:
+
+    >>> at = _shifted_schur((2, 1, 0), 3, 3)
+    >>> at[(2, 1)], at[(3,)], at[(1, 1, 1)], at[(1,)]
+    (3, 0, 0, 3)
+    """
+    growth = _growth(degree, rows)
+    values = {(): 1}
+    for x in reversed(lam):
+        step: dict = {}
+        for kappa, v in values.items():
+            for grown, contents in growth[kappa]:
+                step[grown] = step.get(grown, 0) + v * prod(x - c for c in contents)
+        values = step
+    return values
+
+
+@lru_cache(maxsize=8)
+def _node_values(degree: int, rows: int) -> dict:
+    """kappa -> {nu: s*_kappa(nu)} over the nodes nu that contain kappa:
+    |nu|_(|kappa|) f(kappa, nu) / f^nu (Okounkov-Olshanski), f counting the
+    ways to grow kappa (or nothing) into nu box by box, whatever n is."""
+    boxes = {kappa: [grown for grown, contents in steps if len(contents) == 1]
+             for kappa, steps in _growth(degree, rows).items()}
+    values: dict = {}
+    for kappa in boxes:
+        counts = {kappa: 1}
+        for nu in boxes:      # smallest first: counts[nu] is final when read
+            for grown in boxes[nu] if nu in counts else ():
+                counts[grown] = counts.get(grown, 0) + counts[nu]
+        if not kappa:
+            f = counts      # f^nu, the ways to grow nu from nothing
+        values[kappa] = {}
+        for nu, c in counts.items():
+            values[kappa][nu], rem = divmod(perm(sum(nu), sum(kappa)) * c, f[nu])
+            if rem:
+                raise InvariantError(f"s*_{kappa}({nu}) is not an integer")
+    return values
+
+
+def _node_weights(degree: int, rows: int, expected: dict) -> list:
+    """Node weights with sum_nu w_nu s*_kappa(nu) = expected[kappa] =
+    E s*_kappa, so E f = sum_nu w_nu f(rho + nu) for every symmetric f of
+    degree <= degree in the shifted weight; solved from the largest kappa."""
+    values = _node_values(degree, rows)
+    w: dict = {}
+    for kappa in reversed(values):
+        at = values[kappa]
+        w[kappa] = (expected[kappa] - sum(v * w[nu] for nu, v in at.items()
+                                          if nu != kappa)) / at[kappa]
+    return [w[nu] for nu in values]
+
+
+def _orders_and_degree(orders: Sequence[int], per_order: int) -> tuple:
+    orders = tuple(orders)
+    if not all(isinstance(k, Integral) and k >= 0 for k in orders):
+        raise ValueError(f"orders must be nonnegative integers: {orders}")
+    # the nodes, and their time and memory, grow like the partitions of degree
+    degree = per_order * max(orders, default=0)
+    if degree > SHIFTED_SCHUR_MAX_DEGREE:
+        raise GuardError(f"moments of degree {degree} exceed the shifted "
+                         f"Schur guard of {SHIFTED_SCHUR_MAX_DEGREE}")
+    return orders, degree
 
 
 # -- exact statistics of the component distribution ---------------------------
@@ -461,33 +441,49 @@ class PushforwardStats:
     cov: tuple
 
 
-def pushforward_stats(d: WeightedDecomposition,
-                      orders: Sequence[int]) -> PushforwardStats:
-    """Exact mean and covariance of the naive moments m_k = p_k(l) / n of a
-    component l drawn with probability mult*dim/dim, from the dim-weighted
-    sums of p_a(l) and p_a(l) p_b(l)."""
-    if len(d) == 0:
-        raise ValueError("empty decomposition")
-    if len(d) > PUSHFORWARD_MAX_COMPONENTS:
-        raise GuardError("decomposition exceeds the component guard")
-    orders = tuple(orders)
+def pieri_stats(lam: Sequence[int], row: int, n: int,
+                orders: Sequence[int]) -> PushforwardStats:
+    """Exact mean and covariance of the naive moments p_k(l) / n of a random
+    component l of V_lam (x) V_(row) (probability multiplicity times
+    dimension over the total), by the tensor rule at nodes of degree twice
+    the largest order."""
+    lam = _check_highest_weight(lam, n)
+    if row < 0:
+        raise ValueError("row length must be nonnegative")
+    orders, degree = _orders_and_degree(orders, 2)
+    rows = min(n, degree)
+    at_lam = _shifted_schur(lam, degree, rows)
+    growth = _growth(degree, rows)
+    sums = dict.fromkeys(growth, 0)
+    for alpha, steps in growth.items():
+        a = Fraction(at_lam[alpha], _content_product(n, alpha))
+        for kappa, c in steps:
+            sums[kappa] += a * perm(row, len(c)) / _content_product(n, (len(c),))
+    w = _node_weights(degree, rows, {
+        kappa: s * _content_product(n, kappa) for kappa, s in sums.items()})
+    u = [[sum(x ** k for x in s) for k in orders] for s in _staircase(n, degree)]
     r = len(orders)
-    total = 0
-    sums = [0] * r
-    pair_sums = [[0] * r for _ in range(r)]     # upper triangle a <= b
-    for l, mult in d.components:
-        w = mult * weyl_dimension(l)
-        total += w
-        u = [l.power_sum(k) for k in orders]
-        for a in range(r):
-            wa = w * u[a]
-            sums[a] += wa
-            row = pair_sums[a]
-            for b in range(a, r):
-                row[b] += wa * u[b]
-    n = d.n
-    mean = tuple(Fraction(s, total * n) for s in sums)
-    cov = tuple(tuple(Fraction(pair_sums[min(a, b)][max(a, b)], total * n * n)
+    mean = tuple(sum(wv * p[a] for wv, p in zip(w, u)) / n for a in range(r))
+    cov = tuple(tuple(sum(wv * p[a] * p[b] for wv, p in zip(w, u)) / (n * n)
                       - mean[a] * mean[b] for b in range(r))
                 for a in range(r))
     return PushforwardStats(orders=orders, mean=mean, cov=cov)
+
+
+def restriction_mean_moments(l: ShiftedWeight, m: int,
+                             orders: Sequence[int]) -> list:
+    """Exact means of the naive moments p_k(u) / m of u, the shifted weight
+    of a random U(m) component of the restriction of l, by the restriction
+    rule at nodes of degree K, K the largest order."""
+    n = l.n
+    if not 1 <= m < n:
+        raise ValueError(f"target rank must satisfy 1 <= m < {n}")
+    orders, degree = _orders_and_degree(orders, 1)
+    rows = min(m, degree)
+    at_l = _shifted_schur(l.highest_weight(), degree, rows)
+    w = _node_weights(degree, rows, {
+        kappa: Fraction(_content_product(m, kappa) * at_l[kappa],
+                        _content_product(n, kappa))
+        for kappa in _growth(degree, rows)})
+    return [sum(wv * sum(x ** k for x in s)
+                for wv, s in zip(w, _staircase(m, degree))) / m for k in orders]

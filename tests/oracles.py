@@ -4,12 +4,13 @@ against; no code in `src` calls them."""
 import functools
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from hofree import repunitary, rmt
 from hofree.cumulants import CumulantTable, MomentTable, moments_to_cumulants
-from hofree.errors import InvariantError
+from hofree.errors import GuardError, InvariantError
 from hofree.partperm import (
     Permutation,
     SetPartition,
@@ -18,7 +19,14 @@ from hofree.partperm import (
     integer_partitions,
     partitioned_permutations,
 )
-from hofree.repunitary import ShiftedWeight, WeightedDecomposition, weyl_dimension
+from hofree.repunitary import (
+    PushforwardStats,
+    ShiftedWeight,
+    WeightedDecomposition,
+    weyl_dimension,
+)
+
+PUSHFORWARD_MAX_COMPONENTS = 10 ** 7
 
 
 def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
@@ -150,6 +158,21 @@ def macro_by_pair(values: dict, n: int, powers):
     return total
 
 
+def _chain_counts(entries: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
+    """Number of chains of interlacing shifted weights from entries down to
+    each shifted U(m) weight, by composing one-step branchings: one step from
+    l reaches each v in the box prod_i [l_{i+1}, l_i) once.  The box grows
+    with the gaps of l, so this is meant for small weights."""
+    counts = {entries: 1}
+    for _ in range(len(entries) - m):
+        step: dict[tuple[int, ...], int] = {}
+        for l, c in counts.items():
+            for v in itertools.product(*map(range, l[1:], l[:-1])):
+                step[v] = step.get(v, 0) + c
+        counts = step
+    return counts
+
+
 def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction]]:
     """Restriction to U(m) (1 <= m < n): the composition of one-step
     branchings, weights in descending order; probabilities are chain-count
@@ -162,9 +185,7 @@ def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction
     dim_l = weyl_dimension(l)
     out = []
     total = 0
-    # looked up on the module, so that a test can patch the chain counts
-    counts = repunitary._chain_counts(l.entries, m)
-    for v, count in sorted(counts.items(), reverse=True):
+    for v, count in sorted(_chain_counts(l.entries, m).items(), reverse=True):
         w = ShiftedWeight(v)
         weight = count * weyl_dimension(w)
         total += weight
@@ -173,6 +194,125 @@ def branch_chain(l: ShiftedWeight, m: int) -> list[tuple[ShiftedWeight, Fraction
         raise InvariantError(f"branching weights of {l.entries} do not sum "
                              f"to the dimension")
     return out
+
+
+def det_fraction(mat):
+    mat = [row[:] for row in mat]
+    n = len(mat)
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            out = -out
+        out *= mat[c][c]
+        inv = Fraction(1) / mat[c][c]
+        for r in range(c + 1, n):
+            f = mat[r][c] * inv
+            for cc in range(c, n):
+                mat[r][cc] -= f * mat[c][cc]
+    return out
+
+
+def interlacing_chain_count(lam, target):
+    """Chains of interlacing weights from lam down to target, i.e.
+    column-strict skew fillings of lam/target with n - m letters, by the
+    Lindstrom-Gessel-Viennot determinant of complete homogeneous counts."""
+    n, m = len(lam), len(target)
+    steps = n - m
+    padded = list(target) + [lam[-1]] * steps   # pad at the ambient minimum
+
+    def h(d):
+        if d < 0:
+            return 0
+        return comb(d + steps - 1, d) if steps > 0 else int(d == 0)
+
+    mat = [[h(lam[i] - padded[j] - i + j) for j in range(n)] for i in range(n)]
+    det = det_fraction(mat)
+    assert det.denominator == 1
+    return det.numerator
+
+
+def restriction_support_oracle(lam, m):
+    """U(m) weights reachable from the highest weight lam by interlacing,
+    descending, each with chain count times dimension: a DFS over targets,
+    one LGV count each."""
+    n = len(lam)
+    steps = n - m
+
+    def rec(i, current):
+        if i == m:
+            count = interlacing_chain_count(lam, current)
+            if count:
+                w = ShiftedWeight.from_highest_weight(tuple(current))
+                yield w, count * weyl_dimension(w)
+            return
+        lo, hi = lam[i + steps], lam[i]
+        if current:
+            hi = min(hi, current[-1])
+        for v in range(hi, lo - 1, -1):
+            current.append(v)
+            yield from rec(i + 1, current)
+            current.pop()
+
+    yield from rec(0, [])
+
+
+def enumerated_restriction_means(l: ShiftedWeight, m: int, orders) -> list:
+    """E p_k(u) / m over the support of `restriction_support_oracle`, the
+    enumeration that `restriction_mean_moments` replaces."""
+    total = 0
+    sums = [0] * len(orders)
+    for w, weight in restriction_support_oracle(l.highest_weight(), m):
+        total += weight
+        for a, k in enumerate(orders):
+            sums[a] += weight * w.power_sum(k)
+    return [Fraction(s, total * m) for s in sums]
+
+
+def pieri_decompose(lam, row: int, n: int) -> WeightedDecomposition:
+    """Tensor with the one-row representation of the given length: components
+    are lam + horizontal strips of that size, each with multiplicity one."""
+    lam = repunitary._check_highest_weight(lam, n)
+    if row < 0:
+        raise ValueError("row length must be nonnegative")
+    return WeightedDecomposition.from_dict(n, {
+        ShiftedWeight.from_highest_weight(shape): 1
+        for shape, _ in repunitary._strips(lam, row)})
+
+
+def pushforward_stats(d: WeightedDecomposition, orders) -> PushforwardStats:
+    """Exact mean and covariance of the naive moments m_k = p_k(l) / n of a
+    component l drawn with probability mult*dim/dim, from the dim-weighted
+    sums of p_a(l) and p_a(l) p_b(l) over every component: the enumeration
+    that `repunitary.pieri_stats` replaces."""
+    if len(d) == 0:
+        raise ValueError("empty decomposition")
+    if len(d) > PUSHFORWARD_MAX_COMPONENTS:
+        raise GuardError("decomposition exceeds the component guard")
+    orders = tuple(orders)
+    r = len(orders)
+    total = 0
+    sums = [0] * r
+    pair_sums = [[0] * r for _ in range(r)]     # upper triangle a <= b
+    for l, mult in d.components:
+        w = mult * weyl_dimension(l)
+        total += w
+        u = [l.power_sum(k) for k in orders]
+        for a in range(r):
+            wa = w * u[a]
+            sums[a] += wa
+            row = pair_sums[a]
+            for b in range(a, r):
+                row[b] += wa * u[b]
+    n = d.n
+    mean = tuple(Fraction(s, total * n) for s in sums)
+    cov = tuple(tuple(Fraction(pair_sums[min(a, b)][max(a, b)], total * n * n)
+                      - mean[a] * mean[b] for b in range(r))
+                for a in range(r))
+    return PushforwardStats(orders=orders, mean=mean, cov=cov)
 
 
 def lr_tensor_oracle(lam, mu, n: int) -> WeightedDecomposition:

@@ -50,8 +50,7 @@ from hofree.repunitary import (
     naive_to_natural_moments,
     natural_to_naive_moments,
     natural_spectral_measure,
-    pieri_decompose,
-    pushforward_stats,
+    pieri_stats,
     restriction_mean_moments,
     zelobenko_weights,
 )
@@ -70,8 +69,7 @@ def tensor_profile_stats():
     for n in SCHEDULE:
         lam = bulk_profile(n)
         row = row_profile(n)
-        decomposition = pieri_decompose(lam, row, n)
-        out[n] = (lam, row, pushforward_stats(decomposition, ORDERS))
+        out[n] = (lam, row, pieri_stats(lam, row, n, ORDERS))
     return out
 
 

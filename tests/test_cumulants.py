@@ -319,3 +319,11 @@ def test_estimate_refuses_joint_orders_outside_one_to_four():
     for columns in ([], (0, 1, 0, 1, 0)):
         with pytest.raises(ValueError, match="joint orders 1 to 4"):
             estimate_cumulants(samples, columns)
+
+
+def test_estimate_refuses_columns_outside_the_array():
+    # numpy would wrap -1 to the last column and raise IndexError for 5
+    samples = np.arange(10.0).reshape(5, 2)
+    for columns in ((-1,), (5,), (0, 2)):
+        with pytest.raises(ValueError, match=r"columns must lie in \[0, 2\)"):
+            estimate_cumulants(samples, columns)

@@ -170,6 +170,20 @@ def test_compress_refuses_an_order_beyond_the_moments():
         free_compress([1, 2, 3], Fraction(1, 2), 5)
 
 
+def test_compress_refuses_an_order_below_one():
+    # an order below 1 would otherwise be read as a slice end
+    for order in (-1, 0):
+        with pytest.raises(ValueError, match=r"is outside \[1, "):
+            free_compress([1, 2, 3], Fraction(1, 2), order)
+
+
+def test_convolve_refuses_an_order_below_one():
+    # an order below 1 would otherwise be read as a slice end
+    for order in (-1, 0):
+        with pytest.raises(ValueError, match=r"is outside \[1, "):
+            free_convolve([1, 2], [1, 2], order)
+
+
 def test_convolution_matches_matrix_monte_carlo():
     # spectra of two independent 256x256 conjugated reflections: the sum's
     # empirical moments match the free convolution within 3 standard errors

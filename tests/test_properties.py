@@ -1,8 +1,10 @@
 """Property tests: the naive/natural conversion round trip, the conjugacy
 invariant, the tuple-level partial order and scaling exponent against their
 object-built definitions, the tensor decompositions against the
-recursive oracle, and the config-file, `--alpha` and `hof-check` boundaries,
-over inputs drawn by Hypothesis (derandomized, so reproducible)."""
+recursive oracle, the shifted-Schur tensor and restriction statistics
+against their enumerations, and the config-file, `--alpha` and `hof-check`
+boundaries, over inputs drawn by Hypothesis (derandomized, so
+reproducible)."""
 
 import argparse
 import contextlib
@@ -31,13 +33,21 @@ from hofree.partperm import (  # noqa: E402
     product_pp,
 )
 from hofree.repunitary import (  # noqa: E402
+    ShiftedWeight,
     lr_tensor_decompose,
     naive_to_natural_moments,
     natural_to_naive_moments,
-    pieri_decompose,
+    pieri_component_count,
+    pieri_stats,
+    restriction_mean_moments,
 )
 
-from oracles import lr_tensor_oracle  # noqa: E402
+from oracles import (  # noqa: E402
+    enumerated_restriction_means,
+    lr_tensor_oracle,
+    pieri_decompose,
+    pushforward_stats,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -125,12 +135,17 @@ def test_scaling_exponent_is_the_permutation_built_formula(pair):
     assert scaling_exponent(vp, gamma) == expected
 
 
+def _weight(n, lo, hi):
+    """A weakly decreasing weight of rank n, entries lo..hi."""
+    return st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+
+
 @st.composite
 def weight_pair(draw):
     """Two weakly decreasing weights of one rank n <= 4, entries -3..5."""
     n = draw(st.integers(1, 4))
-    weight = st.lists(st.integers(-3, 5), min_size=n, max_size=n).map(
-        lambda xs: tuple(sorted(xs, reverse=True)))
+    weight = _weight(n, -3, 5)
     return n, draw(weight), draw(weight)
 
 
@@ -141,6 +156,26 @@ def test_tensor_decompositions_equal_the_recursive_oracle(case, row):
     assert lr_tensor_decompose(lam, mu, n) == lr_tensor_oracle(lam, mu, n)
     one_row = (row,) + (0,) * (n - 1)
     assert pieri_decompose(lam, row, n) == lr_tensor_oracle(lam, one_row, n)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: _weight(n, -5, 8)),
+       st.integers(0, 12), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_pieri_stats_equal_the_enumeration(lam, row, orders):
+    n = len(lam)
+    d = pieri_decompose(lam, row, n)
+    assert pieri_stats(lam, row, n, orders) == pushforward_stats(d, orders)
+    assert pieri_component_count(lam, row, n) == len(d)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: _weight(n, -3, 5)),
+       st.lists(st.integers(0, 6), max_size=4))
+def test_restriction_mean_moments_equal_the_support_enumeration(lam, orders):
+    l = ShiftedWeight.from_highest_weight(lam)
+    for m in range(1, len(lam)):
+        assert restriction_mean_moments(l, m, orders) == \
+            enumerated_restriction_means(l, m, orders)
 
 
 numbers = (st.integers() | st.floats()

@@ -1,14 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import perm, prod
 
 import numpy as np
 import pytest
 
 from hofree import repunitary
 from hofree.errors import GuardError, InvariantError
-from hofree.experiments import RESTRICTION_AMPLITUDE, bulk_profile
+from hofree.experiments import RESTRICTION_AMPLITUDE, bulk_profile, row_profile
 from hofree.repunitary import (
     AtomicMeasure,
     ShiftedWeight,
@@ -18,14 +18,25 @@ from hofree.repunitary import (
     naive_to_natural_moments,
     natural_spectral_measure,
     natural_to_naive_moments,
-    pieri_decompose,
-    pushforward_stats,
+    pieri_component_count,
+    pieri_stats,
     restriction_mean_moments,
     weyl_dimension,
     zelobenko_weights,
 )
 
-from oracles import branch_chain, lr_tensor_oracle, natural_moment_via_matrix
+import oracles
+from oracles import (
+    branch_chain,
+    det_fraction,
+    enumerated_restriction_means,
+    interlacing_chain_count,
+    lr_tensor_oracle,
+    natural_moment_via_matrix,
+    pieri_decompose,
+    pushforward_stats,
+    restriction_support_oracle,
+)
 
 
 def sw(*entries):
@@ -54,69 +65,6 @@ def dimension_oracle(lam, memo={}):
     if key not in memo:
         memo[key] = sum(dimension_oracle(lp) for lp in interlacers_oracle(lam))
     return memo[key]
-
-
-def det_fraction(mat):
-    mat = [row[:] for row in mat]
-    n = len(mat)
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            out = -out
-        out *= mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        for r in range(c + 1, n):
-            f = mat[r][c] * inv
-            for cc in range(c, n):
-                mat[r][cc] -= f * mat[c][cc]
-    return out
-
-
-def interlacing_chain_count(lam, target):
-    # chains of interlacing weights from lam down to target, i.e.
-    # column-strict skew fillings of lam/target with n - m letters, by the
-    # Lindstrom-Gessel-Viennot determinant of complete homogeneous counts
-    n, m = len(lam), len(target)
-    steps = n - m
-    padded = list(target) + [lam[-1]] * steps   # pad at the ambient minimum
-
-    def h(d):
-        if d < 0:
-            return 0
-        return comb(d + steps - 1, d) if steps > 0 else int(d == 0)
-
-    mat = [[h(lam[i] - padded[j] - i + j) for j in range(n)] for i in range(n)]
-    det = det_fraction(mat)
-    assert det.denominator == 1
-    return det.numerator
-
-
-def restriction_support_oracle(lam, m):
-    # U(m) weights reachable from lam by interlacing, descending, each with
-    # chain count times dimension: a DFS over targets, one LGV count each
-    n = len(lam)
-    steps = n - m
-
-    def rec(i, current):
-        if i == m:
-            count = interlacing_chain_count(lam, current)
-            if count:
-                w = ShiftedWeight.from_highest_weight(tuple(current))
-                yield w, count * weyl_dimension(w)
-            return
-        lo, hi = lam[i + steps], lam[i]
-        if current:
-            hi = min(hi, current[-1])
-        for v in range(hi, lo - 1, -1):
-            current.append(v)
-            yield from rec(i + 1, current)
-            current.pop()
-
-    yield from rec(0, [])
 
 
 def schur_value(shifted, xs):
@@ -488,24 +436,129 @@ def test_branch_chain_matches_lgv_oracle():
 
 def test_branch_chain_total_is_checked_without_assert(monkeypatch):
     # a lost component must raise, also under python -O
-    counts = repunitary._chain_counts
-    monkeypatch.setattr(repunitary, "_chain_counts", lambda entries, m: dict(
+    counts = oracles._chain_counts
+    monkeypatch.setattr(oracles, "_chain_counts", lambda entries, m: dict(
         list(counts(entries, m).items())[1:]))
     with pytest.raises(InvariantError):
         branch_chain(ShiftedWeight.from_highest_weight((2, 1, 0)), 1)
 
 
-# -- restriction moments by interpolation ---------------------------------------
+# -- shifted Schur functions and the moments read from them ---------------------
 
-def enumerated_restriction_means(l, m, orders):
-    # the support enumeration the interpolation replaces
-    total = 0
-    sums = [0] * len(orders)
-    for w, weight in restriction_support_oracle(l.highest_weight(), m):
-        total += weight
-        for a, k in enumerate(orders):
-            sums[a] += weight * w.power_sum(k)
-    return [Fraction(s, total * m) for s in sums]
+def falling(x, k):
+    return prod(x - t for t in range(k))
+
+
+def shifted_schur_by_determinant(kappa, lam):
+    # Okounkov-Olshanski's ratio of determinants of falling factorials in
+    # the shifted weight l: det[l_i_(kappa_j + n-1-j)] / det[l_i_(n-1-j)]
+    n = len(lam)
+    kappa = kappa + (0,) * (n - len(kappa))
+    l = ShiftedWeight.from_highest_weight(lam).entries
+    return det_fraction([[falling(x, k + n - 1 - j) for j, k in enumerate(kappa)]
+                         for x in l]) \
+        / det_fraction([[falling(x, n - 1 - j) for j in range(n)] for x in l])
+
+
+def hook_product(nu):
+    conj = [sum(1 for part in nu if part > j) for j in range(max(nu, default=0))]
+    return prod(nu[i] - j + conj[j] - i - 1
+                for i in range(len(nu)) for j in range(nu[i]))
+
+
+def contains(nu, kappa):
+    return len(kappa) <= len(nu) and all(a >= b for a, b in zip(nu, kappa))
+
+
+def test_shifted_schur_matches_the_determinant_formula():
+    rng = random.Random(12)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        lam = random_weight(rng, n, lo=-3, hi=5)
+        rows = min(n, 4)
+        at = repunitary._shifted_schur(lam, 4, rows)
+        assert sorted(at) == sorted(repunitary._growth(4, rows))
+        for kappa, value in at.items():
+            assert value == shifted_schur_by_determinant(kappa, lam), (lam, kappa)
+
+
+def test_node_values_are_the_shifted_schur_functions_at_the_nodes():
+    # the chain-count formula against the reverse-tableau sum at each node,
+    # also with fewer rows than boxes: both vanish unless kappa lies in nu,
+    # and s*_nu(nu) is the hook product
+    for degree, rows in ((6, 6), (7, 3)):
+        values = repunitary._node_values(degree, rows)
+        nodes = list(repunitary._growth(degree, rows))
+        assert list(values) == nodes
+        for nu in nodes:
+            at = repunitary._shifted_schur(nu + (0,) * (rows - len(nu)),
+                                           degree, rows)
+            for kappa in nodes:
+                assert (nu in values[kappa]) == contains(nu, kappa)
+                assert values[kappa].get(nu, 0) == at[kappa], (kappa, nu)
+            assert values[nu][nu] == hook_product(nu)
+
+
+def test_shifted_schur_is_stable_under_a_zero_entry():
+    # s*_kappa(x, 0) = s*_kappa(x) for kappa with at most len(x) parts
+    rng = random.Random(8)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        lam = random_weight(rng, n, lo=0, hi=7)
+        rows = min(n, 5)
+        at = repunitary._shifted_schur(lam, 5, rows)
+        assert repunitary._shifted_schur(lam + (0,), 5, rows) == at
+
+
+def test_node_value_remainder_raises(monkeypatch):
+    # |nu|_(|kappa|) f^(nu/kappa) divides by f^nu; a remainder must raise,
+    # also under python -O
+    monkeypatch.setattr(repunitary, "perm", lambda a, b: perm(a, b) + 1)
+    with pytest.raises(InvariantError, match="not an integer"):
+        repunitary._node_values.__wrapped__(3, 3)
+
+
+def test_shifted_schur_degree_guard():
+    with pytest.raises(GuardError, match="shifted Schur guard"):
+        pieri_stats((2, 1, 0), 3, 3, range(1, 12))
+    with pytest.raises(GuardError, match="shifted Schur guard"):
+        restriction_mean_moments(sw(5, 2, 0), 2, (21,))
+
+
+def test_pieri_stats_match_the_enumeration():
+    # the bulk profile, and a weight with negative entries at orders 0 and 5
+    # (tests/test_properties.py draws random weights)
+    cases = [(bulk_profile(n), row_profile(n), n, (1, 2, 3, 4))
+             for n in range(1, 7)] + [((4, 1, -2, -5), 9, 4, (0, 3, 1, 5))]
+    for lam, row, n, orders in cases:
+        d = pieri_decompose(lam, row, n)
+        assert pieri_stats(lam, row, n, orders) == pushforward_stats(d, orders)
+        assert pieri_component_count(lam, row, n) == len(d)
+
+
+def test_pieri_stats_at_a_size_beyond_the_enumeration():
+    # n = 64: every component has p_1 = p_1(l_lam) + row, so p_1 has no
+    # variance
+    n = 64
+    lam, row = bulk_profile(n), row_profile(n)
+    stats = pieri_stats(lam, row, n, (1, 2, 3, 4))
+    l = ShiftedWeight.from_highest_weight(lam)
+    assert stats.mean[0] == Fraction(l.power_sum(1) + row, n)
+    assert stats.cov[0][0] == 0
+    assert all(stats.cov[k][k] >= 0 for k in range(4))
+    assert stats.cov[3][3] > 0
+
+
+def test_pieri_inputs_are_checked():
+    with pytest.raises(ValueError, match="nonnegative"):
+        pieri_stats((1, 0), -1, 2, (1,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        pieri_component_count((1, 0), -1, 2)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        pieri_stats((1, 0), 1, 2, (-1,))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        pieri_stats((0, 1), 1, 2, (1,))
+
 
 
 def test_restriction_mean_moments_match_enumeration():
@@ -553,54 +606,6 @@ def test_restriction_mean_moments_orders():
             restriction_mean_moments(l, 2, orders)
 
 
-def test_restriction_interpolant_samples_the_staircase_and_one_more(
-        monkeypatch):
-    # one node per basis polynomial, as conjugate partitions pair them
-    for n in range(2, 7):
-        for k in range(9):
-            assert len(repunitary._staircase(n, k)) == \
-                len(repunitary._elementary_basis(n, k))
-    sample_row = repunitary._sample_row
-    calls = []
-
-    def recorded(entries, m, orders, basis_row):
-        calls.append(entries)
-        return sample_row(entries, m, orders, basis_row)
-
-    monkeypatch.setattr(repunitary, "_sample_row", recorded)
-    restriction_mean_moments(sw(9, 5, 2, 0), 2, (1, 2, 3))
-    # the held-out weight rho + (4, 0, 0, 0) lies off the staircase
-    assert calls == repunitary._staircase(4, 3) + [(7, 2, 1, 0)]
-
-
-def test_restriction_interpolant_repeated_staircase_point_raises(monkeypatch):
-    # a staircase that repeats a point cannot determine the polynomial
-    staircase = repunitary._staircase
-    monkeypatch.setattr(repunitary, "_staircase", lambda n, degree: [
-        s for s in staircase(n, degree) for _ in range(2)])
-    with pytest.raises(InvariantError, match="no new pivot"):
-        restriction_mean_moments(sw(9, 5, 2, 0), 2, (1, 2, 3))
-
-
-def test_restriction_interpolant_held_out_check_raises(monkeypatch):
-    # the sample row after the r basis rows is the held-out one; corrupt it
-    sample_row = repunitary._sample_row
-    r = len(repunitary._elementary_basis(4, 3))
-    calls = []
-
-    def corrupted(entries, m, orders, basis_row):
-        row = sample_row(entries, m, orders, basis_row)
-        calls.append(entries)
-        if len(calls) == r + 1:
-            row[r] += 1
-        return row
-
-    monkeypatch.setattr(repunitary, "_sample_row", corrupted)
-    with pytest.raises(InvariantError, match="held-out"):
-        restriction_mean_moments(sw(9, 5, 2, 0), 2, (1, 2, 3))
-    assert len(calls) == r + 1
-
-
 # -- pushforward statistics ------------------------------------------------------
 
 def test_pushforward_single_component_is_deterministic():
@@ -621,7 +626,7 @@ def test_pushforward_clebsch_gordan_frozen_values():
 def test_pushforward_refuses_empty_and_oversized_decompositions(monkeypatch):
     with pytest.raises(ValueError, match="empty decomposition"):
         pushforward_stats(WeightedDecomposition(2, ()), (1,))
-    monkeypatch.setattr(repunitary, "PUSHFORWARD_MAX_COMPONENTS", 1)
+    monkeypatch.setattr(oracles, "PUSHFORWARD_MAX_COMPONENTS", 1)
     with pytest.raises(GuardError, match="component guard"):
         pushforward_stats(lr_tensor_decompose((1, 0), (1, 0), 2), (1,))
 
