@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: spectral | tensor | restrict | hof-check | simulate | freeconv.
-Global flags: --seed, --out, --config (JSON file with ExperimentConfig-style
-keys; tensor, restrict and simulate only), --threads.  Exit codes: 0
-success, 2 validation error, 3 guard refusal.
+Global flags: --seed, --out, --config (JSON file with the keys of the
+command's own flags and seed; tensor, restrict and simulate only),
+--threads.  Exit codes: 0 success, 2 validation error, 3 guard refusal.
 
 Every command is a pure function of (config, seed): identical inputs produce
 byte-identical outputs.  CSV files are UTF-8 with a header row and RFC-4180
@@ -152,17 +152,17 @@ _CONFIG_SCHEMA = {
 }
 
 
-def _read_config(path: Path) -> dict:
+def _read_config(path: Path, command: str, allowed: set) -> dict:
     try:    # malformed JSON, or an integer past Python's digit limit
         raw = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: expected a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_SCHEMA))
+    unknown = sorted(set(raw) - allowed)
     if unknown:
-        raise ValueError(f"config {path}: unknown keys {unknown}; allowed: "
-                         f"{sorted(_CONFIG_SCHEMA)}")
+        raise ValueError(f"config {path}: unknown keys {unknown} for "
+                         f"{command}; allowed: {sorted(allowed)}")
     for key, value in raw.items():
         what, ok = _CONFIG_SCHEMA[key]
         if not ok(value):
@@ -172,8 +172,12 @@ def _read_config(path: Path) -> dict:
 
 
 def _load_config(args, **defaults) -> experiments.ExperimentConfig:
-    """Flags override the config file, which overrides the defaults."""
-    raw = {} if args.config is None else _read_config(Path(args.config))
+    """Flags override the config file, which overrides the defaults.  The
+    file may set only the keys that the command's parsed flags carry, the
+    global `seed` among them."""
+    allowed = {key for key in _CONFIG_SCHEMA if hasattr(args, key)}
+    raw = ({} if args.config is None
+           else _read_config(Path(args.config), args.command, allowed))
     kwargs = dict(defaults)
     for key in _CONFIG_SCHEMA:
         flag = getattr(args, key, None)

@@ -39,12 +39,21 @@ RESTRICTION_AMPLITUDE = 4.0
 
 def bulk_profile(n: int, amplitude: float = TENSOR_BULK_AMPLITUDE) -> tuple[int, ...]:
     """Linear highest-weight profile vanishing at the right edge."""
-    return tuple(round(amplitude * n ** 0.5 * (n - i - 1)) for i in range(n))
+    return tuple(_round(amplitude * n ** 0.5 * (n - i - 1), "--amplitude", n)
+                 for i in range(n))
 
 
 def row_profile(n: int, amplitude: float = TENSOR_ROW_AMPLITUDE) -> int:
     """Length of the one-row factor in the tensor experiment."""
-    return max(1, round(amplitude * n ** 0.5 * (n - 1) ** 2 / n))
+    return max(1, _round(amplitude * n ** 0.5 * (n - 1) ** 2 / n,
+                         "--row-amplitude", n))
+
+
+def _round(x: float, flag: str, n: int) -> int:
+    if not math.isfinite(x):        # round() raises OverflowError on inf
+        raise ValueError(f"{flag} is too large: the weight profile overflows "
+                         f"a float at n = {n}")
+    return round(x)
 
 
 def naive_moments_of_weight(l: ShiftedWeight, order: int) -> list:
@@ -84,6 +93,18 @@ class ExperimentConfig:
                 f"got a = {self.eps_exponent}")
         if any(a >= b for a, b in zip(self.schedule, self.schedule[1:])):
             raise ValueError("schedule must be strictly increasing")
+        # restrict writes one set of rows per size: a repeat writes it twice
+        if len(set(self.corner_sizes)) != len(self.corner_sizes):
+            raise ValueError(f"corner sizes must not repeat; got "
+                             f"{list(self.corner_sizes)}")
+        # a row amplitude <= 0 would be rounded up to a one-box row, and a
+        # negative amplitude reverses the bulk profile
+        if self.amplitude < 0:
+            raise ValueError(f"--amplitude must be at least 0; got "
+                             f"{self.amplitude}")
+        if self.row_amplitude <= 0:
+            raise ValueError(f"--row-amplitude must be positive; got "
+                             f"{self.row_amplitude}")
         if any(n < 1 for n in self.schedule + self.corner_sizes):
             raise ValueError("schedule and corner sizes must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -165,6 +186,10 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
     free-compression target, and corner Monte Carlo for the matching alpha."""
     if not config.schedule + config.corner_sizes:
         raise ValueError("the schedule and the corner sizes are both empty")
+    # the U(1) profile is (0): every target moment is 0, so no relative gap
+    if 1 in config.schedule:
+        raise ValueError("the restrict schedule needs sizes of at least 2; "
+                         "at n = 1 every target moment is 0")
     config.check_eps(config.schedule + config.corner_sizes)
     rows = []
     orders = tuple(range(1, config.max_order + 1))
@@ -217,9 +242,15 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
 
 
 def _mean_se(table: rmt.TraceTable, p: int) -> tuple[float, float]:
-    """Monte-Carlo mean of tr X^p and its standard error."""
+    """Monte-Carlo mean of tr X^p and its standard error, refused when
+    either overflows a float (finite traces near the float limit)."""
     col = table.column(p)
-    return float(col.mean()), float(col.std(ddof=1) / np.sqrt(len(col)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = float(col.mean()), float(col.std(ddof=1) / np.sqrt(len(col)))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ValueError(f"the Monte-Carlo mean or standard error of "
+                         f"tr X^{p} overflows a float")
+    return mean, se
 
 
 def _corner_rank(alpha: Fraction, n: int) -> int:

@@ -170,40 +170,6 @@ def natural_to_naive_moments(n: int, natural: Sequence) -> list:
     return [x / n for x in p[1:]]
 
 
-# -- weighted decompositions --------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightedDecomposition:
-    """Multiset of irreducible components: shifted weight -> multiplicity."""
-
-    n: int
-    components: tuple[tuple[ShiftedWeight, int], ...]
-
-    @classmethod
-    def from_dict(cls, n: int, table: dict) -> "WeightedDecomposition":
-        items = tuple(sorted(((l, m) for l, m in table.items() if m),
-                             key=lambda t: t[0].entries, reverse=True))
-        if any(l.n != n for l, _ in items):
-            raise ValueError("component rank mismatch")
-        if any(m < 0 for _, m in items):
-            raise ValueError("multiplicities must be positive")
-        return cls(n, items)
-
-    def __len__(self):
-        return len(self.components)
-
-    def total_dimension(self) -> int:
-        return sum(m * weyl_dimension(l) for l, m in self.components)
-
-    def distribution(self) -> list[tuple[ShiftedWeight, Fraction]]:
-        """P(l) = mult * dim / total dim; exact, sums to one."""
-        if not self.components:
-            raise ValueError("empty decomposition has no distribution")
-        total = self.total_dimension()
-        return [(l, Fraction(m * weyl_dimension(l), total))
-                for l, m in self.components]
-
-
 # -- tensor products ----------------------------------------------------------
 
 def _check_highest_weight(lam, n):
@@ -249,12 +215,13 @@ def _strips(shape: tuple[int, ...], size: int,
 
 
 def lr_tensor_decompose(lam: Sequence[int], mu: Sequence[int],
-                        n: int) -> WeightedDecomposition:
-    """Decomposition of the tensor product of two irreducibles by counting
-    Littlewood-Richardson skew tableaux (column-strict fillings whose
-    reverse reading word is a ballot sequence): one `_strips` step per
-    letter, the previous letter's running counts as the ballot bound, with
-    equal (shape, counts) states merged after every letter.
+                        n: int) -> dict[ShiftedWeight, int]:
+    """Decomposition of the tensor product of two irreducibles, as a table
+    {component: multiplicity}, by counting Littlewood-Richardson skew
+    tableaux (column-strict fillings whose reverse reading word is a ballot
+    sequence): one `_strips` step per letter, the previous letter's running
+    counts as the ballot bound, with equal (shape, counts) states merged
+    after every letter.
 
     Negative entries are handled by twisting both factors with a power of the
     determinant character, decomposing, and shifting back.
@@ -287,13 +254,12 @@ def lr_tensor_decompose(lam: Sequence[int], mu: Sequence[int],
     for (shape, _), c in states.items():
         l = ShiftedWeight.from_highest_weight(tuple(x - s - t for x in shape))
         table[l] = table.get(l, 0) + c
-    result = WeightedDecomposition.from_dict(n, table)
     lhs = weyl_dimension(ShiftedWeight.from_highest_weight(lam)) \
         * weyl_dimension(ShiftedWeight.from_highest_weight(mu))
-    if lhs != result.total_dimension():
+    if lhs != sum(c * weyl_dimension(l) for l, c in table.items()):
         raise InvariantError(f"LR dimension identity violated for "
                              f"{lam} x {mu}")
-    return result
+    return table
 
 
 def pieri_component_count(lam: Sequence[int], row: int, n: int) -> int:

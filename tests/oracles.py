@@ -19,14 +19,65 @@ from hofree.partperm import (
     integer_partitions,
     partitioned_permutations,
 )
-from hofree.repunitary import (
-    PushforwardStats,
-    ShiftedWeight,
-    WeightedDecomposition,
-    weyl_dimension,
-)
+from hofree.repunitary import PushforwardStats, ShiftedWeight, weyl_dimension
 
 PUSHFORWARD_MAX_COMPONENTS = 10 ** 7
+EIGENVALUE_RESIDUAL_TOL = 1e-10
+
+
+def eigenvalues(x) -> np.ndarray:
+    """Sorted eigenvalues; the residual ||Xv - lambda v|| is checked against
+    the documented tolerance.  Non-finite input is refused.  The oracle that
+    the tests check `rmt.power_traces` and `rmt.corner_traces` against."""
+    mat = np.asarray(x)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"matrix of shape {mat.shape} has non-finite entries")
+    try:
+        vals, vecs = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed on shape {mat.shape}: {exc}")
+    scale = max(1.0, float(np.linalg.norm(mat)))
+    residual = np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max()
+    if residual > EIGENVALUE_RESIDUAL_TOL * scale:
+        raise RuntimeError(
+            f"eigensolver residual {residual:.3e} exceeds "
+            f"{EIGENVALUE_RESIDUAL_TOL:.1e} * {scale:.3e}")
+    return vals
+
+
+def corner_by_qr(spec: rmt.EnsembleSpec, rng, m: int) -> np.ndarray:
+    """Leading m-by-m block of X = eps * U diag(l) U*, 1 <= m <= n, drawn as
+    W* diag(eps * l) W for the n-by-m Haar isometry W of the phase-fixed thin
+    QR of an n-by-m Ginibre draw; at m = n it is U diag(eps * l) U*, the
+    draw of `rmt.sample_matrix`.  The QR corner whose traces
+    `rmt.corner_traces` reads from the same draws without a QR."""
+    eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
+    z = rmt._ginibre(spec.n, rng, m)
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    w = q * (d / np.abs(d))
+    x = (w * eigs) @ w.conj().T if m == spec.n else (w.conj().T * eigs) @ w
+    return (x + x.conj().T) / 2
+
+
+def complement_corner(spec: rmt.EnsembleSpec, rng, m: int) -> np.ndarray:
+    """(I - Q) D (I - Q) from the draws of a corner with 2m > n: Q projects
+    onto the range of the n-by-(n - m) Ginibre draw, so the matrix has the
+    corner's m eigenvalues and n - m zeros."""
+    eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
+    z = rmt._ginibre(spec.n, rng, spec.n - m)
+    zh = z.conj().T
+    p = np.eye(spec.n) - z @ np.linalg.solve(zh @ z, zh)
+    x = p @ (eigs[:, None] * p)
+    return (x + x.conj().T) / 2
+
+
+def distribution(d: dict) -> dict:
+    """P(l) = mult * dim / total dim for a table {component: multiplicity};
+    exact, sums to one."""
+    total = sum(m * weyl_dimension(l) for l, m in d.items())
+    return {l: Fraction(m * weyl_dimension(l), total) for l, m in d.items()}
 
 
 def natural_moment_via_matrix(l: ShiftedWeight, k: int) -> Fraction:
@@ -272,18 +323,17 @@ def enumerated_restriction_means(l: ShiftedWeight, m: int, orders) -> list:
     return [Fraction(s, total * m) for s in sums]
 
 
-def pieri_decompose(lam, row: int, n: int) -> WeightedDecomposition:
+def pieri_decompose(lam, row: int, n: int) -> dict:
     """Tensor with the one-row representation of the given length: components
     are lam + horizontal strips of that size, each with multiplicity one."""
     lam = repunitary._check_highest_weight(lam, n)
     if row < 0:
         raise ValueError("row length must be nonnegative")
-    return WeightedDecomposition.from_dict(n, {
-        ShiftedWeight.from_highest_weight(shape): 1
-        for shape, _ in repunitary._strips(lam, row)})
+    return {ShiftedWeight.from_highest_weight(shape): 1
+            for shape, _ in repunitary._strips(lam, row)}
 
 
-def pushforward_stats(d: WeightedDecomposition, orders) -> PushforwardStats:
+def pushforward_stats(d: dict, orders) -> PushforwardStats:
     """Exact mean and covariance of the naive moments m_k = p_k(l) / n of a
     component l drawn with probability mult*dim/dim, from the dim-weighted
     sums of p_a(l) and p_a(l) p_b(l) over every component: the enumeration
@@ -297,7 +347,7 @@ def pushforward_stats(d: WeightedDecomposition, orders) -> PushforwardStats:
     total = 0
     sums = [0] * r
     pair_sums = [[0] * r for _ in range(r)]     # upper triangle a <= b
-    for l, mult in d.components:
+    for l, mult in d.items():
         w = mult * weyl_dimension(l)
         total += w
         u = [l.power_sum(k) for k in orders]
@@ -307,7 +357,7 @@ def pushforward_stats(d: WeightedDecomposition, orders) -> PushforwardStats:
             row = pair_sums[a]
             for b in range(a, r):
                 row[b] += wa * u[b]
-    n = d.n
+    n = next(iter(d)).n
     mean = tuple(Fraction(s, total * n) for s in sums)
     cov = tuple(tuple(Fraction(pair_sums[min(a, b)][max(a, b)], total * n * n)
                       - mean[a] * mean[b] for b in range(r))
@@ -315,7 +365,7 @@ def pushforward_stats(d: WeightedDecomposition, orders) -> PushforwardStats:
     return PushforwardStats(orders=orders, mean=mean, cov=cov)
 
 
-def lr_tensor_oracle(lam, mu, n: int) -> WeightedDecomposition:
+def lr_tensor_oracle(lam, mu, n: int) -> dict:
     """V_lam (x) V_mu by walking every Littlewood-Richardson skew tableau
     of content mu on lam, one at a time: each letter's cells are placed row
     by row as a horizontal strip, a branch is dropped when its letter
@@ -367,6 +417,5 @@ def lr_tensor_oracle(lam, mu, n: int) -> WeightedDecomposition:
             cum_counts.pop()
 
     dfs(0, lam2)
-    return WeightedDecomposition.from_dict(n, {
-        ShiftedWeight.from_highest_weight(tuple(x - s - t for x in shape)): c
-        for shape, c in counts.items()})
+    return {ShiftedWeight.from_highest_weight(tuple(x - s - t for x in shape)): c
+            for shape, c in counts.items()}

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -352,6 +354,19 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
             (["tensor", "--eps-exponent", "1e30", "--schedule", "2",
               "--replicas", "10", "--max-order", "2"],
              "eps exponent 1e+30 is too large"),
+            # every target moment of the U(1) profile (0) is 0: the relative
+            # gap used to end in a ZeroDivisionError traceback
+            (["restrict", "--schedule", "1", "--alpha", "1", "--corner-sizes",
+              "2", "--max-order", "1", "--replicas", "2"],
+             "needs sizes of at least 2"),
+            # finite traces whose spread squares past the float limit: the
+            # standard error used to be written as inf, after a numpy warning
+            (["restrict", "--schedule", "2", "--corner-sizes", "2",
+              "--amplitude", "1e307", "--max-order", "1", "--replicas", "200"],
+             "standard error of tr X^1 overflows a float"),
+            # a repeated size used to write its rows twice, with exit 0
+            (["restrict", "--schedule", "4", "--corner-sizes", "8,8",
+              "--max-order", "1"], "corner sizes must not repeat; got [8, 8]"),
             # restrict runs its corner sizes, so they are checked too
             (["restrict", "--schedule", "2", "--corner-sizes", "256",
               "--eps-exponent", "30"], "underflows at n = 256"),
@@ -370,6 +385,70 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
         assert captured.err.startswith("error: ") and message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a negative amplitude reverses the bulk profile; the refusal used to
+    # name only the reversed weight
+    (["tensor", "--amplitude=-5"], "--amplitude must be at least 0"),
+    (["restrict", "--amplitude=-0.5"], "--amplitude must be at least 0"),
+    # row amplitudes <= 0 used to be rounded up to a one-box row, exit 0
+    (["tensor", "--row-amplitude=0"], "--row-amplitude must be positive"),
+    (["tensor", "--row-amplitude=-5"], "--row-amplitude must be positive"),
+    # the profile used to overflow in round(), with a traceback
+    (["tensor", "--schedule", "4", "--amplitude", "1e308"],
+     "--amplitude is too large: the weight profile overflows a float at "
+     "n = 4"),
+    (["tensor", "--schedule", "4", "--row-amplitude", "1e308"],
+     "--row-amplitude is too large"),
+    (["restrict", "--schedule", "4", "--amplitude", "1e308"],
+     "--amplitude is too large"),
+])
+def test_amplitudes_the_profiles_would_round_are_refused(
+        tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, "--out", str(tmp_path), *argv,
+                             "--replicas", "2", "--max-order", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_sum_overflow_is_refused_with_one_error_line(tmp_path):
+    # the overflow of tr X^2 in the sum used to print two numpy warnings
+    # before the refusal; run as a process so that warnings reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hofree.cli", "--out", str(tmp_path),
+         "tensor", "--schedule", "2", "--replicas", "2",
+         "--amplitude", "1e308"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: tr X^2 of replica 0 is not finite (inf)"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_keys_of_another_command_are_refused(tmp_path, capsys):
+    # each of these used to be ignored with exit 0
+    path = tmp_path / "config.json"
+    out = tmp_path / "out"
+    for command, config, unknown in (
+            (["tensor"], {"alpha": "1/2"}, ["alpha"]),
+            (["tensor"], {"corner_sizes": [8], "replicas": 10},
+             ["corner_sizes"]),
+            (["restrict"], {"row_amplitude": 2.0}, ["row_amplitude"]),
+            (["simulate", "--spectrum", "1,0"],
+             {"schedule": [2], "amplitude": 1, "max_order": 2, "seed": 3},
+             ["amplitude", "max_order", "schedule"])):
+        path.write_text(json.dumps(config))
+        code, stdout, err = run_cli(capsys, "--out", str(out), "--config",
+                                    str(path), *command)
+        assert (code, stdout) == (2, ""), command
+        assert err.startswith(f"error: config {path}: unknown keys "
+                              f"{unknown} for {command[0]}; allowed: "), err
         assert not out.exists()
 
 
@@ -474,8 +553,9 @@ def test_config_file_schema_errors(tmp_path, capsys):
                              "Exceeds the limit (4300 digits)")):
         path.write_text(config if isinstance(config, str)
                         else json.dumps(config))
+        # restrict, which reads every key named here (tensor reads no alpha)
         code = main(["--out", str(tmp_path), "--config", str(path),
-                     "tensor"])
+                     "restrict"])
         err = capsys.readouterr().err
         assert code == 2, config
         assert err.startswith(f"error: config {path}: "), err

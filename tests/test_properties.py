@@ -2,15 +2,15 @@
 invariant, the tuple-level partial order and scaling exponent against their
 object-built definitions, the tensor decompositions against the
 recursive oracle, the shifted-Schur tensor and restriction statistics
-against their enumerations, and the config-file, `--alpha` and `hof-check`
-boundaries, over inputs drawn by Hypothesis (derandomized, so
-reproducible)."""
+against their enumerations, and the config-file, `--alpha`, `tensor`,
+`restrict` and `hof-check` boundaries, over inputs drawn by Hypothesis
+(derandomized, so reproducible)."""
 
-import argparse
 import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -207,12 +207,14 @@ def test_any_config_object_is_a_config_or_a_value_error(raw):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        args = argparse.Namespace(config=path, threads=1)
-        try:
-            config = cli._load_config(args)
-        except ValueError:
-            return
-    assert isinstance(config, ExperimentConfig)
+        for command in ("tensor", "restrict"):
+            args = cli.build_parser().parse_args(
+                ["--config", str(path), command])
+            try:
+                config = cli._load_config(args)
+            except ValueError:
+                continue
+            assert isinstance(config, ExperimentConfig)
 
 
 _sign = st.sampled_from(["", "-", "+"])
@@ -266,3 +268,47 @@ def test_any_hof_check_text_exits_with_a_documented_code(
         code = cli.main(argv)
     assert code in (0, 2, 3), argv
     assert code == 0 or err.getvalue().startswith(("error:", "refused:")), argv
+
+
+_amplitude = st.none() | st.sampled_from(
+    ["-5", "-1e-9", "0", "1e300", "1e308"]) | st.floats(0, 8).map(str)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(["tensor", "restrict"]),
+       st.sets(st.integers(1, 4), min_size=1, max_size=2).map(sorted),
+       st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3),
+       _amplitude, _amplitude, st.sampled_from(["1/2", "1"]))
+@example("tensor", [2], [2], "1e308", None, "1")
+@example("restrict", [4], [8, 8], None, None, "1/2")
+def test_any_experiment_text_exits_with_a_documented_code(
+        command, schedule, corner_sizes, amplitude, row_amplitude, alpha):
+    # tiny runs of tensor and restrict: every amplitude, size list and
+    # overflow ends in exit 0, or in exit 2 or 3 with one error line and no
+    # numpy warning; amplitudes the profiles would round and repeated
+    # corner sizes are refused
+    argv = ["--out", "", command, "--schedule", ",".join(map(str, schedule)),
+            "--replicas", "2", "--max-order", "1"]
+    if amplitude is not None:
+        argv.append(f"--amplitude={amplitude}")
+    if command == "tensor" and row_amplitude is not None:
+        argv.append(f"--row-amplitude={row_amplitude}")
+    if command == "restrict":
+        argv += ["--corner-sizes", ",".join(map(str, corner_sizes)),
+                 "--alpha", alpha]
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        argv[1] = tmp
+        code = cli.main(argv)
+    assert code in (0, 2, 3), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (len(lines) == 1 and lines[0].startswith(
+        ("error:", "refused:"))), (argv, lines)
+    if (float(amplitude or 0) < 0
+            or command == "tensor" and float(row_amplitude or 1) <= 0
+            or command == "restrict" and len(set(corner_sizes)) < len(corner_sizes)):
+        assert code == 2, argv

@@ -12,7 +12,6 @@ from hofree.experiments import RESTRICTION_AMPLITUDE, bulk_profile, row_profile
 from hofree.repunitary import (
     AtomicMeasure,
     ShiftedWeight,
-    WeightedDecomposition,
     lr_tensor_decompose,
     naive_spectral_measure,
     naive_to_natural_moments,
@@ -29,6 +28,7 @@ import oracles
 from oracles import (
     branch_chain,
     det_fraction,
+    distribution,
     enumerated_restriction_means,
     interlacing_chain_count,
     lr_tensor_oracle,
@@ -76,7 +76,7 @@ def schur_value(shifted, xs):
 
 
 def decomposition_character(d, xs):
-    return sum(m * schur_value(l.entries, xs) for l, m in d.components)
+    return sum(m * schur_value(l.entries, xs) for l, m in d.items())
 
 
 # -- shifted weights and dimensions -------------------------------------------
@@ -259,27 +259,27 @@ def test_lr_u2_clebsch_gordan():
     d = lr_tensor_decompose((1, 0), (1, 0), 2)
     expected = {ShiftedWeight.from_highest_weight((2, 0)): 1,
                 ShiftedWeight.from_highest_weight((1, 1)): 1}
-    assert dict(d.components) == expected
+    assert d == expected
     rng = random.Random(8)
     for _ in range(25):
         a = random_weight(rng, 2, lo=-4, hi=6)
         b = random_weight(rng, 2, lo=-4, hi=6)
         d = lr_tensor_decompose(a, b, 2)
-        assert dict(d.components) == u2_tensor_oracle(a, b)
+        assert d == u2_tensor_oracle(a, b)
 
 
 def test_lr_with_trivial_factor():
     lam = (3, 1, 0)
     d = lr_tensor_decompose(lam, (0, 0, 0), 3)
-    assert dict(d.components) == {ShiftedWeight.from_highest_weight(lam): 1}
+    assert d == {ShiftedWeight.from_highest_weight(lam): 1}
 
 
 def test_lr_u3_example():
     d = lr_tensor_decompose((1, 0, 0), (1, 0, 0), 3)
     expected = {ShiftedWeight.from_highest_weight((2, 0, 0)): 1,
                 ShiftedWeight.from_highest_weight((1, 1, 0)): 1}
-    assert dict(d.components) == expected
-    assert d.total_dimension() == 9
+    assert d == expected
+    assert sum(m * weyl_dimension(l) for l, m in d.items()) == 9
 
 
 def test_lr_character_identity():
@@ -307,13 +307,22 @@ def test_lr_guards():
         lr_tensor_decompose((50, 0), (41, 0), 2)
 
 
+def test_lr_dimension_identity_is_checked(monkeypatch):
+    # a strip walk that loses a component is refused, not returned
+    strips = repunitary._strips
+    monkeypatch.setattr(repunitary, "_strips",
+                        lambda *args: itertools.islice(strips(*args), 1))
+    with pytest.raises(InvariantError, match="LR dimension identity"):
+        lr_tensor_decompose((1, 0), (1, 0), 2)
+
+
 def test_pieri_examples_and_agreement_with_lr():
     d = pieri_decompose((1, 0), 1, 2)
-    assert dict(d.components) == {ShiftedWeight.from_highest_weight((2, 0)): 1,
-                                  ShiftedWeight.from_highest_weight((1, 1)): 1}
-    assert dict(pieri_decompose((2, 1, 0), 0, 3).components) == \
+    assert d == {ShiftedWeight.from_highest_weight((2, 0)): 1,
+                 ShiftedWeight.from_highest_weight((1, 1)): 1}
+    assert pieri_decompose((2, 1, 0), 0, 3) == \
         {ShiftedWeight.from_highest_weight((2, 1, 0)): 1}
-    assert dict(pieri_decompose((0, 0), 2, 2).components) == \
+    assert pieri_decompose((0, 0), 2, 2) == \
         {ShiftedWeight.from_highest_weight((2, 0)): 1}
     rng = random.Random(6)
     for _ in range(15):
@@ -321,8 +330,7 @@ def test_pieri_examples_and_agreement_with_lr():
         lam = random_weight(rng, n, lo=0, hi=5)
         k = rng.randint(0, 6)
         mu = (k,) + (0,) * (n - 1)
-        assert pieri_decompose(lam, k, n).components == \
-            lr_tensor_decompose(lam, mu, n).components
+        assert pieri_decompose(lam, k, n) == lr_tensor_decompose(lam, mu, n)
 
 
 def test_lr_bulk_times_bulk_matches_oracle():
@@ -331,21 +339,20 @@ def test_lr_bulk_times_bulk_matches_oracle():
     lam, mu = bulk_profile(6, 1.0), bulk_profile(6, 0.5)
     d = lr_tensor_decompose(lam, mu, 6)
     assert len(d) == 2322
-    assert max(m for _, m in d.components) > 1
+    assert max(d.values()) > 1
     assert d == lr_tensor_oracle(lam, mu, 6)
 
 
 def test_distribution_examples():
     d = lr_tensor_decompose((1, 0), (1, 0), 2)
-    dist = dict(d.distribution())
+    dist = distribution(d)
     assert dist[sw(3, 0)] == Fraction(3, 4)
     assert dist[sw(2, 1)] == Fraction(1, 4)
     d3 = lr_tensor_decompose((1, 0, 0), (1, 0, 0), 3)
-    dist3 = dict(d3.distribution())
+    dist3 = distribution(d3)
     assert dist3[ShiftedWeight.from_highest_weight((2, 0, 0))] == Fraction(6, 9)
     assert dist3[ShiftedWeight.from_highest_weight((1, 1, 0))] == Fraction(3, 9)
-    single = WeightedDecomposition.from_dict(2, {sw(4, 1): 3})
-    assert single.distribution() == [(sw(4, 1), Fraction(1))]
+    assert distribution({sw(4, 1): 3}) == {sw(4, 1): Fraction(1)}
 
 
 # -- branching -----------------------------------------------------------------
@@ -609,8 +616,7 @@ def test_restriction_mean_moments_orders():
 # -- pushforward statistics ------------------------------------------------------
 
 def test_pushforward_single_component_is_deterministic():
-    d = WeightedDecomposition.from_dict(3, {sw(5, 2, 0): 4})
-    stats = pushforward_stats(d, (1, 2))
+    stats = pushforward_stats({sw(5, 2, 0): 4}, (1, 2))
     assert stats.cov == ((0, 0), (0, 0))
     assert stats.mean[0] == Fraction(7, 3)
 
@@ -625,7 +631,7 @@ def test_pushforward_clebsch_gordan_frozen_values():
 
 def test_pushforward_refuses_empty_and_oversized_decompositions(monkeypatch):
     with pytest.raises(ValueError, match="empty decomposition"):
-        pushforward_stats(WeightedDecomposition(2, ()), (1,))
+        pushforward_stats({}, (1,))
     monkeypatch.setattr(oracles, "PUSHFORWARD_MAX_COMPONENTS", 1)
     with pytest.raises(GuardError, match="component guard"):
         pushforward_stats(lr_tensor_decompose((1, 0), (1, 0), 2), (1,))
@@ -640,7 +646,7 @@ def test_pushforward_covariance_matches_direct():
         d = lr_tensor_decompose(a, b, len(a))
         stats = pushforward_stats(d, orders)
         dist = [(p, [naive_spectral_measure(l).moment(k) for k in orders])
-                for l, p in d.distribution()]
+                for l, p in distribution(d).items()]
 
         def e(*idx):
             return sum(p * prod(v[i] for i in idx) for p, v in dist)

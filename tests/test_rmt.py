@@ -16,7 +16,6 @@ from hofree.rmt import (
     EnsembleSpec,
     WEINGARTEN_MAX_ORDER,
     corner_traces,
-    eigenvalues,
     exact_entry_moment,
     haar_unitary,
     replica_rng,
@@ -25,7 +24,14 @@ from hofree.rmt import (
     trace_statistics,
     weingarten_table,
 )
-from oracles import complement_traces_by_words, entry_moment_by_weingarten_sum
+import oracles
+from oracles import (
+    complement_corner,
+    complement_traces_by_words,
+    corner_by_qr,
+    eigenvalues,
+    entry_moment_by_weingarten_sum,
+)
 
 
 def test_haar_unitary_is_unitary():
@@ -134,7 +140,7 @@ def test_corner():
         n = spec.n
         for m in range(1, n + 1):
             for r in range(50):
-                x = sample_matrix(spec, replica_rng(4, r), m)
+                x = corner_by_qr(spec, replica_rng(4, r), m)
                 assert x.shape == (m, m)
                 assert np.array_equal(x, x.conj().T)
                 b = eigenvalues(x)
@@ -142,7 +148,7 @@ def test_corner():
                 assert np.all(b <= a[n - m:] + 1e-12), (eigs, m, r)
     for m in (0, 6, -1, 9):
         with pytest.raises(ValueError):
-            sample_matrix(spec, replica_rng(4, 0), m)
+            corner_by_qr(spec, replica_rng(4, 0), m)
         with pytest.raises(ValueError, match=rf"got n = 5 and m = {m}$"):
             corner_traces(spec, replica_rng(4, 0), m, (1,))
         with pytest.raises(ValueError):
@@ -166,7 +172,7 @@ def test_full_draw_is_the_conjugation_formula():
         x = (u * (0.25 * np.array(eigs, dtype=float))) @ u.conj().T
         x = (x + x.conj().T) / 2
         assert np.array_equal(sample_matrix(spec, replica_rng(12, r)), x)
-        assert np.array_equal(sample_matrix(spec, replica_rng(12, r), 4), x)
+        assert np.array_equal(corner_by_qr(spec, replica_rng(12, r), 4), x)
         # a full-size corner's traces are the spectrum's
         tr_d = [np.mean((0.25 * np.array(eigs)) ** p) for p in (2, 1)]
         assert np.array_equal(
@@ -185,7 +191,7 @@ def test_corner_entry_moments_match_weingarten():
                   [(0, 1)], [(0, 1), (0, 1)], [(1, 2), (1, 2), (2, 1)]]
     samples = np.empty((reps, len(pairs_list)), dtype=complex)
     for r in range(reps):
-        x = sample_matrix(spec, replica_rng(35, r), 3)
+        x = corner_by_qr(spec, replica_rng(35, r), 3)
         for c, pairs in enumerate(pairs_list):
             samples[r, c] = np.prod([x[i, j] for i, j in pairs])
     for c, pairs in enumerate(pairs_list):
@@ -200,6 +206,16 @@ def test_eigenvalues_small_cases():
     assert np.allclose(eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1, 2, 3])
     assert np.allclose(eigenvalues(np.array([[0, 1], [1, 0]], dtype=float)),
                        [-1, 1])
+
+
+def test_eigenvalues_residual_guard(monkeypatch):
+    # a residual above the tolerance times max(1, ||X||) is refused, not
+    # returned
+    x = sample_matrix(EnsembleSpec.fixed(range(8, 0, -1)), replica_rng(9, 0))
+    assert np.allclose(eigenvalues(x), range(1, 9))
+    monkeypatch.setattr(oracles, "EIGENVALUE_RESIDUAL_TOL", 1e-30)
+    with pytest.raises(RuntimeError, match="eigensolver residual"):
+        eigenvalues(x)
 
 
 def test_trace_statistics_thread_count_invariance(tmp_path):
@@ -221,18 +237,6 @@ def test_trace_statistics_thread_count_invariance(tmp_path):
     assert header == "n,eps,seed,spec"
 
 
-def complement_corner(spec, rng, m):
-    """(I - Q) D (I - Q) from the draws of a corner with 2m > n: Q projects
-    onto the range of the n-by-(n - m) Ginibre draw, so the matrix has the
-    corner's m eigenvalues and n - m zeros."""
-    eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
-    z = rmt._ginibre(spec.n, rng, spec.n - m)
-    zh = z.conj().T
-    p = np.eye(spec.n) - z @ np.linalg.solve(zh @ z, zh)
-    x = p @ (eigs[:, None] * p)
-    return (x + x.conj().T) / 2
-
-
 def test_power_traces_match_eigenvalue_powers():
     # trace_statistics rows, from trace products Tr AB of matrix powers (and,
     # for a corner m < n, of the QR-free similar matrix or the complement's
@@ -250,7 +254,7 @@ def test_power_traces_match_eigenvalue_powers():
     def corner(spec, m):
         if 2 * m > spec.n and m < spec.n:
             return lambda rng: complement_corner(spec, rng, m)
-        return lambda rng: sample_matrix(spec, rng, m)
+        return lambda rng: corner_by_qr(spec, rng, m)
 
     cases = [(fixed, None, 6, lambda rng: sample_matrix(fixed, rng)),
              (mixture, None, 6, lambda rng: sample_matrix(mixture, rng)),
