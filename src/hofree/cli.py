@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import experiments, hof, rmt
+import numpy as np
+
+from . import cumulants, experiments, hof, rmt
 from .errors import GuardError
 from .freeprob import free_compress, free_convolve, moments_to_free_cumulants
 from .repunitary import (
@@ -191,9 +194,10 @@ def _load_config(args, **defaults) -> experiments.ExperimentConfig:
     return experiments.ExperimentConfig(**kwargs)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows, preamble=()) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
+        writer.writerows([_cell(x) for x in row] for row in preamble)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(row[h]) for h in header])
@@ -226,8 +230,9 @@ def cmd_spectral(args) -> int:
                           for k in range(1, args.order + 1)],
         "natural_moments": [_rational_str(natural.moment(k))
                             for k in range(1, args.order + 1)],
-        "natural_moments_decimal": [float(natural.moment(k))
-                                    for k in range(1, args.order + 1)],
+        "natural_moments_decimal": [
+            experiments.exact_float(natural.moment(k), "natural_moments_decimal")
+            for k in range(1, args.order + 1)],
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -288,16 +293,22 @@ def cmd_simulate(args) -> int:
     if len(set(args.powers)) != len(args.powers):
         raise ValueError(f"trace powers must not repeat; got {list(args.powers)}")
     spec = rmt.EnsembleSpec.fixed(args.spectrum, eps=args.eps)
-    table = rmt.trace_statistics(spec, args.powers, replicas=replicas,
-                                 seed=seed, threads=config.threads)
+    values = rmt.trace_statistics(spec, args.powers, replicas=replicas,
+                                  seed=seed, threads=config.threads).values
     args.out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(args.out / "traces.csv")
+    # the spectrum's label: the hash of its exact size, atoms and eps
+    label = hashlib.sha1(repr((spec.n, spec.atoms, str(spec.eps))).encode())
+    _write_csv(args.out / "traces.csv", ["replica", "p", "value"],
+               ({"replica": r, "p": p, "value": float(x)}
+                for r, row in enumerate(values)
+                for p, x in zip(args.powers, row)),
+               preamble=[["n", "eps", "seed", "spec"],
+                         [spec.n, float(spec.eps), seed, label.hexdigest()[:12]]])
     summary = {"n": spec.n, "eps": _rational_str(args.eps),
                "seed": seed, "replicas": replicas, "cumulants": []}
-    for p in args.powers:
-        est_mean = table.estimate_cumulant((p,), boot_seed=seed)
-        est_var = table.estimate_cumulant((p, p), boot_seed=seed)
-        est_third = table.estimate_cumulant((p, p, p), boot_seed=seed)
+    for i, p in enumerate(args.powers):
+        est_mean, est_var, est_third = (cumulants.estimate_cumulants(
+            values, (i,) * j, rng=np.random.default_rng(seed)) for j in (1, 2, 3))
         summary["cumulants"].append({
             "p": p,
             "mean": float(est_mean.value.real), "mean_se": float(est_mean.stderr),

@@ -44,9 +44,13 @@ def bulk_profile(n: int, amplitude: float = TENSOR_BULK_AMPLITUDE) -> tuple[int,
 
 
 def row_profile(n: int, amplitude: float = TENSOR_ROW_AMPLITUDE) -> int:
-    """Length of the one-row factor in the tensor experiment."""
-    return max(1, _round(amplitude * n ** 0.5 * (n - 1) ** 2 / n,
-                         "--row-amplitude", n))
+    """Length of the one-row factor in the tensor experiment; one box at
+    n = 1, where the formula is 0."""
+    row = _round(amplitude * n ** 0.5 * (n - 1) ** 2 / n, "--row-amplitude", n)
+    if row == 0 and n > 1:
+        raise ValueError(f"--row-amplitude {amplitude} is too small: the row "
+                         f"rounds to 0 boxes at n = {n}")
+    return max(1, row)
 
 
 def _round(x: float, flag: str, n: int) -> int:
@@ -54,6 +58,14 @@ def _round(x: float, flag: str, n: int) -> int:
         raise ValueError(f"{flag} is too large: the weight profile overflows "
                          f"a float at n = {n}")
     return round(x)
+
+
+def exact_float(x, column: str) -> float:
+    """float(x) of an exact value, refused when x is too large for a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{column} is too large for a float") from None
 
 
 def naive_moments_of_weight(l: ShiftedWeight, order: int) -> list:
@@ -167,12 +179,12 @@ def tensor_experiment(config: ExperimentConfig) -> list[dict]:
                 "components": components,
                 # floats carry the eps_n scaling; the *_exact fields are the
                 # unscaled rationals (eps_n itself is irrational)
-                "rep_mean": float(stats.mean[i]) * scale,
-                "rep_var": float(stats.cov[i][i]) * scale ** 2,
-                "free_target": float(free_target) * scale,
+                "rep_mean": exact_float(stats.mean[i], "rep_mean") * scale,
+                "rep_var": exact_float(stats.cov[i][i], "rep_var") * scale ** 2,
+                "free_target": exact_float(free_target, "free_target") * scale,
                 "mc_mean": mc_mean,
                 "mc_se": mc_se,
-                "rel_gap": abs(float(stats.mean[i] - free_target))
+                "rel_gap": abs(exact_float(stats.mean[i] - free_target, "rel_gap"))
                 / abs(float(free_target)),
                 "rep_mean_exact": stats.mean[i],
                 "rep_var_exact": stats.cov[i][i],
@@ -206,10 +218,8 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
         eps = config.eps(n)
         target = free_compress(naive_moments_of_weight(l, config.max_order),
                                alpha, config.max_order)
-        branch = None
-        if n in config.schedule:
-            branch = (naive_moments_of_weight(l, config.max_order) if m == n
-                      else restriction_mean_moments(l, m, orders))
+        branch = (restriction_mean_moments(l, m, orders)
+                  if n in config.schedule else None)
         replicas = (config.replicas if branch is not None
                     else min(config.replicas, 500))
         spec = rmt.EnsembleSpec.fixed(l.entries, eps=eps)
@@ -221,7 +231,8 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
             row = {
                 "n": n, "m": m, "k": k,
                 "branch_mean": "",
-                "compress_target": float(target[i]) * scale,
+                "compress_target":
+                    exact_float(target[i], "compress_target") * scale,
                 "corner_mc_mean": mc_mean,
                 "corner_mc_se": mc_se,
                 "rel_gap": "",
@@ -231,8 +242,8 @@ def restriction_experiment(config: ExperimentConfig) -> list[dict]:
             }
             if branch is not None:
                 row.update({
-                    "branch_mean": float(branch[i]) * scale,
-                    "rel_gap": abs(float(branch[i] - target[i]))
+                    "branch_mean": exact_float(branch[i], "branch_mean") * scale,
+                    "rel_gap": abs(exact_float(branch[i] - target[i], "rel_gap"))
                     / abs(float(target[i])),
                     "note": "",
                     "branch_mean_exact": branch[i],

@@ -147,8 +147,7 @@ def _assembly_terms(powers: tuple[int, ...]) -> tuple:
     reps, counts = {}, {}
     for vp, key in _classes(len(gamma)):
         if _join_cycles(vp.partition.block_of, gamma) == full:
-            inv = sorted(range(len(gamma)), key=vp.permutation.images.__getitem__)
-            e = _num_cycles([gamma[j] for j in inv])
+            e = _cycle_row(vp.permutation.images, [gamma])[0]
             counts[key, e] = counts.get((key, e), 0) + 1
             reps.setdefault(key, vp)
     return tuple((reps[key], e, m) for (key, e), m in counts.items())
@@ -198,16 +197,15 @@ def scaling_exponent(vp: PartitionedPermutation, gamma: Permutation) -> int:
     if len(vp.permutation.images) != k:
         raise ValueError("ground-set mismatch")
     top_length = gamma.length() + 2 * (gamma.num_cycles() - 1)
-    inv = vp.permutation.inverse().images
-    step = k - _num_cycles([g[j] for j in inv])
+    step = k - _cycle_row(vp.permutation.images, [g])[0]
     return step + vp.length() - top_length
 
 
-def _cycle_row(images: tuple, gammas: list) -> bytes:
-    """#(gamma pi^-1) for pi = images and each gamma's images, as bytes;
-    it is also #(pi^-1 gamma), as the two are conjugate by pi."""
+def _cycle_row(images: tuple, gammas: list) -> tuple:
+    """#(gamma pi^-1) for pi = images and each gamma's images; it is also
+    #(pi^-1 gamma), as the two are conjugate by pi."""
     inv = sorted(range(len(images)), key=images.__getitem__)
-    return bytes(_num_cycles([g[j] for j in inv]) for g in gammas)
+    return tuple(_num_cycles([g[j] for j in inv]) for g in gammas)
 
 
 def hof_check(ns: Sequence[int], max_order: int = 4,

@@ -391,6 +391,16 @@ def integer_partitions(k: int) -> list[tuple[int, ...]]:
     return list(rec(k, k))
 
 
+def _content_product(n: int, kappa: tuple[int, ...]) -> int:
+    """(n)_kappa, the product over the boxes (i, j) of kappa of n + j - i:
+    s_kappa(1^n) times kappa's hook product, 0 when kappa has over n parts.
+
+    >>> _content_product(3, (2, 1)), _content_product(1, (1, 1))
+    (24, 0)
+    """
+    return math.prod(n + j - i for i, part in enumerate(kappa) for j in range(part))
+
+
 def contiguous_cycles(*lengths: int) -> Permutation:
     """The permutation (0,...,p1-1)(p1,...,p1+p2-1)... on {0..sum-1}.
 

@@ -22,7 +22,7 @@ from numbers import Integral
 from typing import Sequence
 
 from .errors import GuardError, InvariantError
-from .partperm import integer_partitions
+from .partperm import _content_product, integer_partitions
 
 LR_MAX_RANK = 8
 LR_MAX_CELLS = 40
@@ -301,11 +301,6 @@ def _staircase(n: int, degree: int) -> list[tuple[int, ...]]:
             for nu in _growth(degree, min(n, degree))]
 
 
-def _content_product(n: int, kappa: tuple[int, ...]) -> int:
-    """(n)_kappa, the product over the boxes of kappa of n + content."""
-    return prod(n + j - i for i, part in enumerate(kappa) for j in range(part))
-
-
 @lru_cache(maxsize=8)
 def _growth(degree: int, rows: int) -> dict:
     """kappa -> [(kappa + strip, contents of the strip's boxes)] over the
@@ -440,10 +435,10 @@ def restriction_mean_moments(l: ShiftedWeight, m: int,
                              orders: Sequence[int]) -> list:
     """Exact means of the naive moments p_k(u) / m of u, the shifted weight
     of a random U(m) component of the restriction of l, by the restriction
-    rule at nodes of degree K, K the largest order."""
+    rule at nodes of degree K, K the largest order; at m = n, p_k(l) / n."""
     n = l.n
-    if not 1 <= m < n:
-        raise ValueError(f"target rank must satisfy 1 <= m < {n}")
+    if not 1 <= m <= n:
+        raise ValueError(f"target rank must satisfy 1 <= m <= {n}")
     orders, degree = _orders_and_degree(orders, 1)
     rows = min(m, degree)
     at_l = _shifted_schur(l.highest_weight(), degree, rows)

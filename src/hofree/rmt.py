@@ -19,8 +19,6 @@ parallel schedule.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import itertools
 import math
 from collections import Counter
@@ -32,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import cumulants
 from .errors import GuardError
-from .partperm import Permutation, integer_partitions
+from .partperm import Permutation, _content_product, integer_partitions
 
 WEINGARTEN_MAX_ORDER = 5
 
@@ -97,10 +94,6 @@ class EnsembleSpec:
         if not atoms:
             raise ValueError("spectrum mixture is empty")
         return cls(n=len(atoms[0][0]), atoms=atoms, eps=eps)
-
-    def spec_hash(self) -> str:
-        text = repr((self.n, self.atoms, str(self.eps)))
-        return hashlib.sha1(text.encode()).hexdigest()[:12]
 
     def atom_power_sum(self, atom_index: int, k: int):
         eigs, _ = self.atoms[atom_index]
@@ -229,40 +222,14 @@ def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Per-replica normalized traces tr X^p = (1/n) Tr X^p, from
-    `corner_traces` or, for sums, `power_traces`."""
+    """Per-replica normalized traces tr X^p = (1/m) Tr X^p of an m-by-m X,
+    from `corner_traces` or, for sums, `power_traces`."""
 
-    n: int
-    eps: float
     powers: tuple[int, ...]
     values: np.ndarray            # shape (replicas, len(powers))
-    seed: int
-    label: str
-
-    @property
-    def replicas(self) -> int:
-        return self.values.shape[0]
 
     def column(self, p: int) -> np.ndarray:
         return self.values[:, self.powers.index(p)]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "eps", "seed", "spec"])
-            writer.writerow([self.n, repr(self.eps), self.seed, self.label])
-            writer.writerow(["replica", "p", "value"])
-            for r in range(self.replicas):
-                for i, p in enumerate(self.powers):
-                    writer.writerow([r, p, repr(float(self.values[r, i]))])
-
-    def estimate_cumulant(self, pattern: Sequence[int], n_boot: int = 200,
-                          boot_seed: int = 0) -> cumulants.CumulantEstimate:
-        """Joint cumulant of (tr X^{p}) for the given pattern of powers."""
-        cols = [self.powers.index(p) for p in pattern]
-        return cumulants.estimate_cumulants(
-            self.values, cols, n_boot=n_boot,
-            rng=np.random.default_rng(boot_seed))
 
 
 def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
@@ -277,14 +244,11 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
     if not powers or min(powers) < 1:
         raise ValueError(f"trace powers must be at least 1; got {powers}")
     if isinstance(spec, EnsembleSpec):
-        first, label = spec, spec.spec_hash()
-
         def traces(rng):
             return corner_traces(spec, rng, spec.n if m is None else m, powers)
     else:
         if m is not None:
             raise ValueError("corners of sums are not sampled")
-        first, label = spec[0], "+".join(s.spec_hash() for s in spec)
 
         def traces(rng):
             # as in corner_traces, an overflow is refused below, unwarned
@@ -297,8 +261,7 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
         r, i = bad[0]
         raise ValueError(f"tr X^{powers[i]} of replica {r} is not finite "
                          f"({values[r, i]})")
-    return TraceTable(n=first.n if m is None else m, eps=float(first.eps),
-                      powers=powers, values=values, seed=seed, label=label)
+    return TraceTable(powers=powers, values=values)
 
 
 # -- Weingarten oracle ---------------------------------------------------------
@@ -342,35 +305,26 @@ def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def _schur_dimension(lam: tuple[int, ...], n: int) -> int:
-    """s_lam(1^n), the dimension of the U(n) irreducible of highest weight
-    lam: the product over the boxes (i, j) of lam of (n + j - i) / hook."""
-    boxes = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-    height = [sum(x > j for x in lam) for j in range(lam[0])]
-    return (math.prod(n + j - i for i, j in boxes)
-            // math.prod(lam[i] - j + height[j] - i - 1 for i, j in boxes))
-
-
 @lru_cache(maxsize=64)
 def _weingarten_coefficients(k: int, n: int) -> tuple[Fraction, ...]:
-    """c_lam = chi^lam(1) / (k! s_lam(1^n)) for lam in `integer_partitions(k)`
-    order: Wg(., n) = (1/k!) sum_lam c_lam chi^lam(1) chi^lam.  As n >= k,
-    every s_lam(1^n) is positive."""
+    """1 / (n)_lam for lam in `integer_partitions(k)` order, (n)_lam the
+    content product: Wg(., n) = (1/k!) sum_lam chi^lam(1) chi^lam / (n)_lam,
+    as chi^lam(1) / (k! s_lam(1^n)) = 1 / (n)_lam, both sides over lam's
+    hook product.  As n >= k, every (n)_lam is positive."""
     if not 1 <= k <= WEINGARTEN_MAX_ORDER:
         raise GuardError(
             f"Weingarten table is limited to 1 <= k <= {WEINGARTEN_MAX_ORDER}")
     if n < k:
         raise GuardError(
             f"Gram form is singular for n < k (n = {n}, k = {k}); refusing")
-    return tuple(Fraction(_character(lam, (1,) * k),
-                          math.factorial(k) * _schur_dimension(lam, n))
+    return tuple(Fraction(1, _content_product(n, lam))
                  for lam in integer_partitions(k))
 
 
 @lru_cache(maxsize=64)
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Exact Weingarten function from the characters of S_k:
-    Wg(mu, n) = sum_lam chi^lam(1)^2 chi^lam(mu) / (k!^2 s_lam(1^n)).
+    Wg(mu, n) = (1/k!) sum_lam chi^lam(1) chi^lam(mu) / (n)_lam.
 
     Defining identity: sum_tau Wg(sigma tau^-1) n^(#tau) = [sigma = id].
     Refused for n < k, where the Gram form is singular.
@@ -384,8 +338,8 @@ def weingarten_table(k: int, n: int) -> WeingartenTable:
 
 @lru_cache(maxsize=4096)
 def _pattern_weights(pattern: tuple[int, ...], n: int) -> tuple[Fraction, ...]:
-    """Per lam as in `_weingarten_coefficients`, c_lam times the sum of
-    chi^lam(sigma) over the sigma with rows[m] = cols[sigma(m)], for the
+    """Per lam in `integer_partitions(k)` order, 1 / (n)_lam times the sum
+    of chi^lam(sigma) over the sigma with rows[m] = cols[sigma(m)], for the
     pattern rows + cols; empty when no sigma matches.  Guards k and n."""
     k = len(pattern) // 2
     coefficients = _weingarten_coefficients(k, n)
@@ -412,8 +366,8 @@ def exact_entry_moment(spec: EnsembleSpec, pairs: Sequence[tuple[int, int]]):
 
     The Weingarten sum of Wg(sigma tau^-1) p_tau(l) over tau and the sigma
     with rows[m] = cols[sigma(m)] convolves class functions, so it is
-    (eps^k / k!) sum_lam w_lam s_lam(l) on characters, w_lam = chi^lam(1)
-    sum_sigma chi^lam(sigma) / s_lam(1^n).  The w_lam are cached by the
+    eps^k sum_lam w_lam s_lam(l) on characters, w_lam = sum_sigma
+    chi^lam(sigma) / (n)_lam.  The w_lam are cached by the
     pattern of the pairs (rows, then columns, relabelled by first
     appearance); a mixture is averaged atom by atom.  Exact (Fraction)
     whenever the eigenvalues and eps are rational.

@@ -125,14 +125,12 @@ def test_hof_check_refuses_a_size_beyond_the_limit(capsys):
 
 
 def test_simulate_deterministic_and_formats(tmp_path, capsys):
-    args = ["--seed", "9", "--out", str(tmp_path / "a"), "simulate",
-            "--spectrum", "1,0,-1", "--powers", "1,2", "--replicas", "64"]
-    assert main(args) == 0
-    capsys.readouterr()
-    args2 = ["--seed", "9", "--out", str(tmp_path / "b"), "simulate",
-             "--spectrum", "1,0,-1", "--powers", "1,2", "--replicas", "64"]
-    assert main(args2) == 0
-    capsys.readouterr()
+    # the files do not depend on the thread count
+    for out, threads in (("a", 1), ("b", min(2, os.cpu_count() or 1))):
+        assert main(["--seed", "9", "--threads", str(threads), "--out",
+                     str(tmp_path / out), "simulate", "--spectrum", "1,0,-1",
+                     "--powers", "1,2", "--replicas", "64"]) == 0
+        capsys.readouterr()
     for name in ("traces.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
@@ -331,6 +329,17 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
              "must fit in a float"),
             (["simulate", "--spectrum", "1,0", "--eps", "1e400",
               "--replicas", "2"], "must fit in a float"),
+            # exact values past the float range used to end in an
+            # OverflowError traceback, exit 1
+            (["spectral", "--l", "5", "--eps", "1e400"],
+             "natural_moments_decimal is too large for a float"),
+            (["tensor", "--schedule", "2", "--amplitude", "1e200",
+              "--eps-exponent", "250", "--max-order", "2", "--replicas", "2"],
+             "rep_mean is too large for a float"),
+            (["restrict", "--schedule", "2", "--corner-sizes", "2", "--alpha",
+              "1", "--amplitude", "1e200", "--eps-exponent", "250",
+              "--max-order", "2", "--replicas", "2"],
+             "compress_target is too large for a float"),
             # seeds outside [0, 2^64) used to be reduced mod 2^64 (2^64 + 1
             # ran seed 1) or to fail late inside numpy
             (["--seed", "-1", "restrict"], "seed must lie in [0, 2^64)"),
@@ -404,6 +413,9 @@ def test_sizes_powers_and_orders_below_one_refused(tmp_path, capsys):
      "--row-amplitude is too large"),
     (["restrict", "--schedule", "4", "--amplitude", "1e308"],
      "--amplitude is too large"),
+    # a row that rounds to 0 boxes used to be clamped to one box, exit 0
+    (["tensor", "--schedule", "2", "--row-amplitude", "0.01"],
+     "--row-amplitude 0.01 is too small: the row rounds to 0 boxes at n = 2"),
 ])
 def test_amplitudes_the_profiles_would_round_are_refused(
         tmp_path, capsys, argv, message):

@@ -278,17 +278,20 @@ _amplitude = st.none() | st.sampled_from(
 @given(st.sampled_from(["tensor", "restrict"]),
        st.sets(st.integers(1, 4), min_size=1, max_size=2).map(sorted),
        st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3),
-       _amplitude, _amplitude, st.sampled_from(["1/2", "1"]))
-@example("tensor", [2], [2], "1e308", None, "1")
-@example("restrict", [4], [8, 8], None, None, "1/2")
+       _amplitude, _amplitude, st.sampled_from(["1/2", "1"]),
+       st.sampled_from(["1.5", "250"]))
+@example("tensor", [2], [2], "1e308", None, "1", "1.5")
+@example("restrict", [4], [8, 8], None, None, "1/2", "1.5")
 def test_any_experiment_text_exits_with_a_documented_code(
-        command, schedule, corner_sizes, amplitude, row_amplitude, alpha):
-    # tiny runs of tensor and restrict: every amplitude, size list and
-    # overflow ends in exit 0, or in exit 2 or 3 with one error line and no
-    # numpy warning; amplitudes the profiles would round and repeated
-    # corner sizes are refused
+        command, schedule, corner_sizes, amplitude, row_amplitude, alpha,
+        eps_exponent):
+    # tiny runs of tensor and restrict: every amplitude, size list, eps
+    # exponent and overflow ends in exit 0, or in exit 2 or 3 with one error
+    # line and no numpy warning; amplitudes the profiles would round and
+    # repeated corner sizes are refused
     argv = ["--out", "", command, "--schedule", ",".join(map(str, schedule)),
-            "--replicas", "2", "--max-order", "1"]
+            "--replicas", "2", "--max-order", "1",
+            f"--eps-exponent={eps_exponent}"]
     if amplitude is not None:
         argv.append(f"--amplitude={amplitude}")
     if command == "tensor" and row_amplitude is not None:
@@ -312,3 +315,51 @@ def test_any_experiment_text_exits_with_a_documented_code(
             or command == "tensor" and float(row_amplitude or 1) <= 0
             or command == "restrict" and len(set(corner_sizes)) < len(corner_sizes)):
         assert code == 2, argv
+
+
+_rational_text = st.sampled_from(
+    ["0", "1", "-3", "1/2", "-2/7", "1e200", "1e400", "-1e400", "1e-400"]
+) | rationals.map(str)
+
+
+def _flag_list(elements, min_size=1):
+    return st.lists(elements, min_size=min_size, max_size=4).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+_spectral_argv = st.builds(
+    lambda l, eps, order: ["spectral", f"--l={l}", f"--eps={eps}",
+                           f"--order={order}"],
+    _flag_list(st.integers(-3, 8) | st.just(10 ** 120)), _rational_text,
+    st.integers(-1, 6))
+_simulate_argv = st.builds(
+    lambda spectrum, eps, powers, replicas: [
+        "simulate", f"--spectrum={spectrum}", f"--eps={eps}",
+        f"--powers={powers}", f"--replicas={replicas}"],
+    _flag_list(_rational_text), _rational_text,
+    _flag_list(st.integers(-1, 4), min_size=1), st.integers(0, 6))
+_freeconv_argv = st.builds(
+    lambda a, b, compress: ["freeconv", f"--a={a}"]
+    + ([] if b is None else [f"--b={b}"])
+    + ([] if compress is None else [f"--compress={compress}"]),
+    _flag_list(_rational_text), st.none() | _flag_list(_rational_text),
+    st.none() | _rational_text)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_spectral_argv | _simulate_argv | _freeconv_argv)
+@example(["spectral", "--l=5", "--eps=1e400"])
+def test_any_spectral_simulate_or_freeconv_text_exits_with_a_documented_code(
+        argv):
+    # every parsed flag text ends in exit 0, or in exit 2 or 3 with exactly
+    # one error line: exact values too large for a float are refused
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        code = cli.main(["--out", tmp, *argv])
+    assert code in (0, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (len(lines) == 1 and lines[0].startswith(
+        ("error:", "refused:"))), (argv, lines)

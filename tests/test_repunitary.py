@@ -606,8 +606,12 @@ def test_restriction_mean_moments_orders():
     assert restriction_mean_moments(l, 2, ()) == []
     assert restriction_mean_moments(l, 2, (0, 2)) == \
         [1] + enumerated_restriction_means(l, 2, (2,))
-    with pytest.raises(ValueError):
-        restriction_mean_moments(l, 3, (1,))
+    # at m = n the component is l itself
+    assert restriction_mean_moments(l, 3, (3, 1, 6)) == [
+        Fraction(l.power_sum(k), 3) for k in (3, 1, 6)]
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="1 <= m <= 3"):
+            restriction_mean_moments(l, m, (1,))
     for orders in ((-1,), (1, -2), (1.5,), ("2",)):
         with pytest.raises(ValueError, match="nonnegative integers"):
             restriction_mean_moments(l, 2, orders)

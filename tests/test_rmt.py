@@ -100,8 +100,6 @@ def test_fixed_spectrum_traces_are_deterministic():
     table = trace_statistics(spec, (2,), replicas=64, seed=5)
     assert np.allclose(table.column(2), 8 / 3, atol=1e-12)
     assert table.column(2).std() <= 1e-13
-    with pytest.raises(ValueError, match="joint orders 1 to 4"):
-        table.estimate_cumulant(())
 
 
 def test_mixture_frequencies():
@@ -218,7 +216,7 @@ def test_eigenvalues_residual_guard(monkeypatch):
         eigenvalues(x)
 
 
-def test_trace_statistics_thread_count_invariance(tmp_path):
+def test_trace_statistics_thread_count_invariance():
     spec = EnsembleSpec.mixture([((2, 0, -1), Fraction(1, 2)),
                                  ((1, 1, -2), Fraction(1, 2))], eps=0.5)
     t1 = trace_statistics(spec, (1, 2), replicas=40, seed=21, threads=1)
@@ -228,13 +226,6 @@ def test_trace_statistics_thread_count_invariance(tmp_path):
     c2 = trace_statistics(spec, (1, 2), replicas=40, seed=21, threads=2, m=2)
     assert np.array_equal(c1.values, c2.values)
     assert not np.array_equal(c1.values, t1.values)
-
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    t1.to_csv(p1)
-    t4.to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == "n,eps,seed,spec"
 
 
 def test_power_traces_match_eigenvalue_powers():
@@ -271,7 +262,7 @@ def test_power_traces_match_eigenvalue_powers():
             eigs = eigenvalues(draw(replica_rng(31, r)))
             norm = max(1.0, float(np.abs(eigs).max()))
             for i, p in enumerate(powers):
-                want = np.sum(eigs ** p) / table.n
+                want = np.sum(eigs ** p) / (m or len(eigs))
                 assert abs(table.values[r, i] - want) <= 1e-12 * norm ** p, \
                     (spec, m, r, p)
 
@@ -392,14 +383,15 @@ def test_character_orthogonality():
 
 
 def test_schur_dimension_is_the_weyl_dimension():
+    # the coefficients 1 / (n)_lam are chi^lam(1) / (k! s_lam(1^n)), with
+    # s_lam(1^n) by Weyl's dimension formula as the oracle
     for k in range(1, 6):
-        for lam in integer_partitions(k):
-            for n in range(1, 8):
-                if len(lam) > n:
-                    assert rmt._schur_dimension(lam, n) == 0
-                    continue
-                weight = ShiftedWeight.from_highest_weight(lam + (0,) * (n - len(lam)))
-                assert rmt._schur_dimension(lam, n) == weyl_dimension(weight), (lam, n)
+        for n in range(k, 9):
+            want = [Fraction(rmt._character(lam, (1,) * k), math.factorial(k)
+                             * weyl_dimension(ShiftedWeight.from_highest_weight(
+                                 lam + (0,) * (n - len(lam)))))
+                    for lam in integer_partitions(k)]
+            assert list(rmt._weingarten_coefficients(k, n)) == want, (k, n)
 
 
 def test_entry_moment_of_one_haar_entry():
