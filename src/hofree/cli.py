@@ -295,6 +295,22 @@ def cmd_simulate(args) -> int:
     spec = rmt.EnsembleSpec.fixed(args.spectrum, eps=args.eps)
     values = rmt.trace_statistics(spec, args.powers, replicas=replicas,
                                   seed=seed, threads=config.threads).values
+    summary = {"n": spec.n, "eps": _rational_str(args.eps),
+               "seed": seed, "replicas": replicas, "cumulants": []}
+    # finite traces can still overflow a moment: refused before any file
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, p in enumerate(args.powers):
+            row = {"p": p}
+            for name, j in (("mean", 1), ("variance", 2), ("third", 3)):
+                est = cumulants.estimate_cumulants(
+                    values, (i,) * j, rng=np.random.default_rng(seed))
+                row[name], row[f"{name}_se"] = (float(est.value.real),
+                                                float(est.stderr))
+            bad = [key for key, x in row.items() if not np.isfinite(x)]
+            if bad:
+                raise ValueError(f"the {bad[0]} of tr X^{p} is not finite "
+                                 f"({row[bad[0]]})")
+            summary["cumulants"].append(row)
     args.out.mkdir(parents=True, exist_ok=True)
     # the spectrum's label: the hash of its exact size, atoms and eps
     label = hashlib.sha1(repr((spec.n, spec.atoms, str(spec.eps))).encode())
@@ -304,19 +320,6 @@ def cmd_simulate(args) -> int:
                 for p, x in zip(args.powers, row)),
                preamble=[["n", "eps", "seed", "spec"],
                          [spec.n, float(spec.eps), seed, label.hexdigest()[:12]]])
-    summary = {"n": spec.n, "eps": _rational_str(args.eps),
-               "seed": seed, "replicas": replicas, "cumulants": []}
-    for i, p in enumerate(args.powers):
-        est_mean, est_var, est_third = (cumulants.estimate_cumulants(
-            values, (i,) * j, rng=np.random.default_rng(seed)) for j in (1, 2, 3))
-        summary["cumulants"].append({
-            "p": p,
-            "mean": float(est_mean.value.real), "mean_se": float(est_mean.stderr),
-            "variance": float(est_var.value.real),
-            "variance_se": float(est_var.stderr),
-            "third": float(est_third.value.real),
-            "third_se": float(est_third.stderr),
-        })
     _write_json(args.out / "summary.json", summary)
     print(f"wrote {args.out / 'traces.csv'} ({replicas} replicas)")
     return 0

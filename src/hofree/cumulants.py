@@ -69,20 +69,6 @@ class MomentTable(_SubsetTable):
         the variables at the given (sorted) positions."""
         return cls(k, {s: joint_moment(s) for s in _subsets_by_size(k)})
 
-    @classmethod
-    def from_partition_values(cls, k: int, table: Mapping) -> "MomentTable":
-        """Build from a full map SetPartition -> value; rejects input that is
-        not multiplicative over blocks."""
-        values = {}
-        for part, val in table.items():
-            if part.num_blocks() == 1:
-                values[part.blocks()[0]] = val
-        candidate = cls(k, values)
-        for part, val in table.items():
-            if candidate.value(part) != val:
-                raise ValueError(f"moment table is not multiplicative at {part}")
-        return candidate
-
 
 class CumulantTable(_SubsetTable):
     """k_V: per-block joint cumulants, extended multiplicatively."""

@@ -4,7 +4,10 @@ Connects the microscopic data (cumulants of matrix entries along partitioned
 permutations, exact via the Weingarten oracle or estimated by Monte Carlo)
 with the macroscopic data (classical cumulants of power-sum traces): the
 exact finite-n assembly identity and the scaling exponents controlling which
-terms survive the large-n limit, both checked exactly by `hof_check`.  Its
+terms survive the large-n limit, both checked exactly by `hof_check`.  Exact
+entry cumulants are kept by class: `block_cumulants` holds one c(nu) per
+block cycle type, and kappa_(V,pi) is their product over the blocks of V,
+so `hof_check` builds one table per spectrum for every pattern.  Its
 triangle sweep runs once per pi over the V >= C(pi), where V v C(pi^-1 gamma)
 = V v C(gamma), so V v C(gamma) is one join per (V, gamma).
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,30 +49,15 @@ KAPPA_MAX_ORDER = 4
 MAX_MATRIX_SIZE = 2 ** 20
 
 
-@dataclass(frozen=True)
-class KappaTable:
-    """kappa_(V,pi) = k_V(X_{0 pi(0)}, ..., X_{k-1 pi(k-1)}) for every
-    partitioned permutation of {0..k-1}."""
-
-    order: int
-    n: int
-    values: dict
-
-    def value(self, vp: PartitionedPermutation):
-        return self.values[vp]
-
-    def items(self):
-        return self.values.items()
-
-
 @functools.lru_cache(maxsize=KAPPA_MAX_ORDER)
 def _classes(k: int) -> tuple:
     """Every (V, pi) of order k with its `conjugacy_key`, for every spectrum."""
     return tuple((vp, conjugacy_key(vp)) for vp in partitioned_permutations(k))
 
 
-def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
-    """Exact table of entry cumulants indexed by partitioned permutations.
+def block_cumulants(spec: rmt.EnsembleSpec, k: int) -> dict:
+    """c(nu) for every partition nu with |nu| <= k, the block cumulants that
+    make up every entry cumulant kappa_(V,pi) of order up to k.
 
     A product of entries X_{i pi(i)} over positions S has mean 0 unless S
     is a union of cycles of pi (else its row and column indices differ).  So
@@ -78,13 +65,11 @@ def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     cumulant of the cycle products of pi on B, of lengths nu_B; a joint
     moment of cycle products of lengths tau is that of contiguous_cycles(*tau).
 
-    >>> from hofree.partperm import SetPartition
     >>> spec = rmt.EnsembleSpec.fixed((2, 1, 0))
     >>> rmt.exact_entry_moment(spec, [(0, 1), (1, 2)])     # a path, no cycle
     Fraction(0, 1)
     >>> m1, m11 = (rmt.exact_entry_moment(spec, [(0, 0), (1, 1)][:j]) for j in (1, 2))
-    >>> vp = PartitionedPermutation(SetPartition.full(2), Permutation.identity(2))
-    >>> kappa_exact(spec, 2).value(vp), m11 - m1 * m1      # c((1, 1))
+    >>> block_cumulants(spec, 2)[(1, 1)], m11 - m1 * m1
     (Fraction(-1, 12), Fraction(-1, 12))
     """
     if not 1 <= k <= KAPPA_MAX_ORDER:
@@ -95,15 +80,24 @@ def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> KappaTable:
     moments = {tau: rmt.exact_entry_moment(
                    spec, list(enumerate(contiguous_cycles(*tau).images)))
                for j in range(1, k + 1) for tau in integer_partitions(j)}
-    # c(nu); a sub-multiset of nu, read in order, is again non-increasing
-    cumulants = {nu: moments_to_cumulants(MomentTable.from_function(
-                     len(nu), lambda s, nu=nu: moments[tuple(nu[i] for i in s)])).top()
-                 for nu in moments}
-    members = _classes(k)
-    kappas = {key: math.prod(map(cumulants.__getitem__, key))
-              for key in dict.fromkeys(key for _, key in members)}
-    return KappaTable(order=k, n=spec.n,
-                      values={vp: kappas[key] for vp, key in members})
+    # a sub-multiset of nu, read in order, is again non-increasing
+    return {nu: moments_to_cumulants(MomentTable.from_function(
+                len(nu), lambda s, nu=nu: moments[tuple(nu[i] for i in s)])).top()
+            for nu in moments}
+
+
+def kappa_exact(spec: rmt.EnsembleSpec, k: int) -> dict:
+    """kappa_(V,pi) = k_V(X_{0 pi(0)}, ..., X_{k-1 pi(k-1)}) for every
+    partitioned permutation of {0..k-1}: the product of `block_cumulants`
+    over the blocks of its `conjugacy_key`.
+
+    >>> spec = rmt.EnsembleSpec.fixed((2, 1, 0))
+    >>> vp = PartitionedPermutation.minimal(Permutation.identity(2))  # {{0}, {1}}
+    >>> kappa_exact(spec, 2)[vp] == block_cumulants(spec, 2)[(1,)] ** 2
+    True
+    """
+    c = block_cumulants(spec, k)
+    return {vp: math.prod(map(c.__getitem__, key)) for vp, key in _classes(k)}
 
 
 def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
@@ -140,29 +134,29 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
 
 @functools.lru_cache(maxsize=32)
 def _assembly_terms(powers: tuple[int, ...]) -> tuple:
-    """The spectrum-free part of `macro_from_micro`: (a member of a class,
-    e, the number of its (V, pi) with V v C(gamma) = 1 and #(gamma pi^-1) = e)."""
+    """The spectrum-free part of `macro_from_micro`: (a class key, e, the
+    number of its (V, pi) with V v C(gamma) = 1 and #(gamma pi^-1) = e)."""
     gamma = contiguous_cycles(*powers).images
     full = (0,) * len(gamma)
-    reps, counts = {}, {}
+    counts: dict = {}
     for vp, key in _classes(len(gamma)):
         if _join_cycles(vp.partition.block_of, gamma) == full:
             e = _cycle_row(vp.permutation.images, [gamma])[0]
             counts[key, e] = counts.get((key, e), 0) + 1
-            reps.setdefault(key, vp)
-    return tuple((reps[key], e, m) for (key, e), m in counts.items())
+    return tuple((key, e, m) for (key, e), m in counts.items())
 
 
-def macro_from_micro(table: KappaTable, powers: Sequence[int]):
-    """Assemble k_l(Tr X^{p_1}, ..., Tr X^{p_l}) from the entry-cumulant
-    table: the sum of kappa_(V,pi) n^(#(gamma pi^-1)) over (V,pi) whose
-    partition joins with the cycles of gamma to the full partition, read
-    once per conjugacy class, on which every `kappa_exact` table is constant."""
+def macro_from_micro(cumulants: dict, n: int, powers: Sequence[int]):
+    """Assemble k_l(Tr X^{p_1}, ..., Tr X^{p_l}) from `block_cumulants` of
+    any order >= sum(powers): the sum of kappa_(V,pi) n^(#(gamma pi^-1)) over
+    (V,pi) whose partition joins with the cycles of gamma to the full
+    partition, one term per conjugacy class and cycle count, as kappa_(V,pi)
+    is the product of c(nu) over the class key."""
     powers = tuple(powers)
-    if sum(powers) != table.order:
-        raise ValueError(f"pattern {powers} needs a table of order {sum(powers)}")
-    return sum(table.values[rep] * (m * table.n ** e)
-               for rep, e, m in _assembly_terms(powers))
+    if (sum(powers),) not in cumulants:
+        raise ValueError(f"pattern {powers} needs a table of order >= {sum(powers)}")
+    return sum(math.prod(map(cumulants.__getitem__, key)) * (m * n ** e)
+               for key, e, m in _assembly_terms(powers))
 
 
 def trace_cumulant_direct(spec: rmt.EnsembleSpec, powers: Sequence[int]):
@@ -185,7 +179,7 @@ def verify_trace_cumulant_identity(spec: rmt.EnsembleSpec,
     """Both sides of the exact macroscopic/microscopic relation for one
     trace-cumulant pattern; exact rationals when eps is rational."""
     lhs = trace_cumulant_direct(spec, powers)
-    rhs = macro_from_micro(kappa_exact(spec, sum(powers)), powers)
+    rhs = macro_from_micro(block_cumulants(spec, sum(powers)), spec.n, powers)
     return lhs, rhs
 
 
@@ -244,12 +238,12 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
                 eps=Fraction(1, n)),
         }
         for label, spec in specs.items():
-            # patterns in trace_patterns(max_order) order, one table per order
+            # patterns in trace_patterns(max_order) order, one table for all
+            cumulants = block_cumulants(spec, max_order)
             for k in range(1, max_order + 1):
-                table = kappa_exact(spec, k)
                 for pattern in integer_partitions(k):
                     lhs = trace_cumulant_direct(spec, pattern)
-                    rhs = macro_from_micro(table, pattern)
+                    rhs = macro_from_micro(cumulants, n, pattern)
                     ok = lhs == rhs
                     report["all_passed"] &= ok
                     report["identity"].append({

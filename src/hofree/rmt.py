@@ -3,7 +3,8 @@
 Monte-Carlo sampling (Haar unitaries via phase-fixed QR, conjugated spectra,
 sums, per-replica trace tables) runs in 64-bit complex floating point; the
 Weingarten oracle for exact Haar integrals of products of matrix entries
-sums characters of S_k in exact rationals.  The regimes never mix.
+sums characters of S_k in exact rationals, one value per cycle type.  The
+regimes never mix.
 
 No path runs an eigensolve.  A sum's normalized traces tr X^p come from
 products of matrix powers (`power_traces`).  A single ensemble's come with
@@ -266,22 +267,6 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
 
 # -- Weingarten oracle ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeingartenTable:
-    """Wg(sigma, n) per conjugacy class of S_k: the inverse of the Gram form
-    G(sigma, tau) = n^(#(sigma tau^-1)) on the group algebra."""
-
-    order: int
-    n: int
-    values: dict
-
-    def of_type(self, cycle_type: tuple[int, ...]) -> Fraction:
-        return self.values[tuple(cycle_type)]
-
-    def of_permutation(self, images: tuple[int, ...]) -> Fraction:
-        return self.values[Permutation(tuple(images)).cycle_type()]
-
-
 @lru_cache(maxsize=None)
 def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """chi^lam(mu), the irreducible character of S_k at cycle type mu, by
@@ -322,18 +307,19 @@ def _weingarten_coefficients(k: int, n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=64)
-def weingarten_table(k: int, n: int) -> WeingartenTable:
-    """Exact Weingarten function from the characters of S_k:
-    Wg(mu, n) = (1/k!) sum_lam chi^lam(1) chi^lam(mu) / (n)_lam.
+def weingarten_table(k: int, n: int) -> dict:
+    """Exact Weingarten function of S_k by cycle type, {mu: Wg(mu, n)}, from
+    the characters: Wg(mu, n) = (1/k!) sum_lam chi^lam(1) chi^lam(mu) / (n)_lam.
+    Wg(sigma, n) is table[Permutation(sigma).cycle_type()].
 
-    Defining identity: sum_tau Wg(sigma tau^-1) n^(#tau) = [sigma = id].
+    Defining identity: sum_tau Wg(sigma tau^-1) n^(#tau) = [sigma = id], the
+    inverse of the Gram form G(sigma, tau) = n^(#(sigma tau^-1)).
     Refused for n < k, where the Gram form is singular.
     """
     terms = list(zip(integer_partitions(k), _weingarten_coefficients(k, n)))
-    return WeingartenTable(order=k, n=n, values={
-        mu: sum(c * _character(lam, (1,) * k) * _character(lam, mu)
-                for lam, c in terms) / math.factorial(k)
-        for mu in integer_partitions(k)})
+    return {mu: sum(c * _character(lam, (1,) * k) * _character(lam, mu)
+                    for lam, c in terms) / math.factorial(k)
+            for mu in integer_partitions(k)}
 
 
 @lru_cache(maxsize=4096)

@@ -113,7 +113,8 @@ def entry_moment_by_weingarten_sum(spec: rmt.EnsembleSpec, pairs) -> Fraction:
     tau_weight = {}
     for tau in perms:
         inverse = sorted(range(k), key=tau.__getitem__)
-        w = sum(wg.of_permutation(tuple(s[j] for j in inverse)) for s in matches)
+        w = sum(wg[Permutation(tuple(s[j] for j in inverse)).cycle_type()]
+                for s in matches)
         if w:
             tau_weight[tau] = w
     total = 0
@@ -190,6 +191,15 @@ def kappa_by_pair(spec: rmt.EnsembleSpec, k: int) -> dict:
             k, [[s.index(m) for m in blk] for blk in vp.partition.blocks()])
         values[vp] = tables[pi.cycle_type()].value(moved)
     return values
+
+
+def compositions(k: int):
+    """Every ordered pattern of positive powers summing to k."""
+    if k == 0:
+        yield ()
+    for first in range(1, k + 1):
+        for rest in compositions(k - first):
+            yield (first,) + rest
 
 
 def macro_by_pair(values: dict, n: int, powers):

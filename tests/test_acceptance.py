@@ -228,15 +228,15 @@ def test_criterion_06_weingarten_oracle():
                     for i, j in enumerate(tau):
                         inv[j] = i
                     st = tuple(sigma[x] for x in inv)
-                    total += table.of_permutation(st) \
+                    total += table[Permutation(st).cycle_type()] \
                         * Fraction(n) ** _num_cycles(tau)
                 assert total == (1 if sigma == tuple(range(k)) else 0)
     # closed forms at k <= 2
     for n in (4, 5, 6):
-        assert rmt.weingarten_table(1, n).of_type((1,)) == Fraction(1, n)
+        assert rmt.weingarten_table(1, n)[(1,)] == Fraction(1, n)
         t2 = rmt.weingarten_table(2, n)
-        assert t2.of_type((1, 1)) == Fraction(1, n * n - 1)
-        assert t2.of_type((2,)) == Fraction(-1, n * (n * n - 1))
+        assert t2[(1, 1)] == Fraction(1, n * n - 1)
+        assert t2[(2,)] == Fraction(-1, n * (n * n - 1))
 
     # Monte-Carlo entry moments at n = 4, 1e5 replicas, 3 bootstrap SEs
     spec = rmt.EnsembleSpec.fixed((2, 1, -1, -2))

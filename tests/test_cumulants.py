@@ -120,18 +120,6 @@ def test_constant_variable_moments():
         assert m.top() == mu ** k
 
 
-def test_non_multiplicative_partition_map_rejected():
-    pairs = SetPartition.from_blocks(2, [(0, 1)])
-    table = {SetPartition.discrete(2): Fraction(1),
-             pairs: Fraction(1),
-             }
-    # E_{0} must equal E(a)E(b); set single values inconsistently
-    full = {p: Fraction(2) for p in set_partitions(2)}
-    full[SetPartition.discrete(2)] = Fraction(5)
-    with pytest.raises(ValueError):
-        MomentTable.from_partition_values(2, full)
-
-
 def test_cumulant_of_products_pair():
     rng = random.Random(3)
     ka, kb, kab = rational_rng_values(rng, 3)

@@ -2,7 +2,8 @@
 invariant, the tuple-level partial order and scaling exponent against their
 object-built definitions, the tensor decompositions against the
 recursive oracle, the shifted-Schur tensor and restriction statistics
-against their enumerations, and the config-file, `--alpha`, `tensor`,
+against their enumerations, the trace-cumulant assembly from block
+cumulants against the direct cumulant, and the config-file, `--alpha`, `tensor`,
 `restrict` and `hof-check` boundaries, over inputs drawn by Hypothesis
 (derandomized, so reproducible)."""
 
@@ -11,6 +12,7 @@ import io
 import json
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,12 @@ from hypothesis import (  # noqa: E402
 
 from hofree import cli  # noqa: E402
 from hofree.experiments import ExperimentConfig  # noqa: E402
-from hofree.hof import scaling_exponent  # noqa: E402
+from hofree.hof import (  # noqa: E402
+    block_cumulants,
+    macro_from_micro,
+    scaling_exponent,
+    trace_cumulant_direct,
+)
 from hofree.partperm import (  # noqa: E402
     PartitionedPermutation,
     Permutation,
@@ -41,8 +48,10 @@ from hofree.repunitary import (  # noqa: E402
     pieri_stats,
     restriction_mean_moments,
 )
+from hofree.rmt import EnsembleSpec  # noqa: E402
 
 from oracles import (  # noqa: E402
+    compositions,
     enumerated_restriction_means,
     lr_tensor_oracle,
     pieri_decompose,
@@ -349,17 +358,52 @@ _freeconv_argv = st.builds(
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_spectral_argv | _simulate_argv | _freeconv_argv)
 @example(["spectral", "--l=5", "--eps=1e400"])
+@example(["simulate", "--spectrum=1e200,0", "--powers=1", "--replicas=4"])
 def test_any_spectral_simulate_or_freeconv_text_exits_with_a_documented_code(
         argv):
     # every parsed flag text ends in exit 0, or in exit 2 or 3 with exactly
-    # one error line: exact values too large for a float are refused
+    # one error line and no warning: exact values too large for a float,
+    # and summaries that overflow one, are refused
     with tempfile.TemporaryDirectory() as tmp, \
-            warnings.catch_warnings(), \
+            warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
         code = cli.main(["--out", tmp, *argv])
+        written = sorted(p.name for p in Path(tmp).iterdir())
     assert code in (0, 2, 3), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert code == 0 or not written, (argv, written)
     lines = err.getvalue().splitlines()
     assert code == 0 or (len(lines) == 1 and lines[0].startswith(
         ("error:", "refused:"))), (argv, lines)
+
+
+@st.composite
+def rational_spectra(draw):
+    """A fixed or two-atom spectrum of n = 4..7 rational eigenvalues and a
+    rational eps."""
+    n = draw(st.integers(4, 7))
+    atom = st.lists(rationals, min_size=n, max_size=n)
+    eps = draw(st.fractions(min_value=Fraction(1, 9), max_value=3,
+                            max_denominator=9))
+    if draw(st.booleans()):
+        return EnsembleSpec.fixed(draw(atom), eps=eps)
+    p = draw(st.fractions(min_value=0, max_value=1, max_denominator=9))
+    return EnsembleSpec.mixture([(draw(atom), p), (draw(atom), 1 - p)], eps=eps)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(rational_spectra())
+def test_assembly_from_block_cumulants_of_any_sufficient_order(spec):
+    # one table of the top order serves every pattern, as does a table of
+    # the pattern's own order; a table of lower order is refused
+    tables = {k: block_cumulants(spec, k) for k in range(1, 5)}
+    tables[0] = {}
+    for k in range(1, 5):
+        for powers in compositions(k):
+            direct = trace_cumulant_direct(spec, powers)
+            assert macro_from_micro(tables[4], spec.n, powers) == direct, powers
+            assert macro_from_micro(tables[k], spec.n, powers) == direct, powers
+            with pytest.raises(ValueError, match="needs a table of order"):
+                macro_from_micro(tables[k - 1], spec.n, powers)

@@ -10,7 +10,7 @@ import pytest
 
 from hofree import rmt
 from hofree.errors import GuardError
-from hofree.partperm import integer_partitions
+from hofree.partperm import Permutation, integer_partitions
 from hofree.repunitary import ShiftedWeight, weyl_dimension
 from hofree.rmt import (
     EnsembleSpec,
@@ -326,11 +326,11 @@ def test_non_finite_traces_and_matrices_refused():
 
 def test_weingarten_small_closed_forms():
     for n in (1, 3, 6):
-        assert weingarten_table(1, n).of_type((1,)) == Fraction(1, n)
+        assert weingarten_table(1, n)[(1,)] == Fraction(1, n)
     for n in (2, 4, 7):
         t = weingarten_table(2, n)
-        assert t.of_type((1, 1)) == Fraction(1, n * n - 1)
-        assert t.of_type((2,)) == Fraction(-1, n * (n * n - 1))
+        assert t[(1, 1)] == Fraction(1, n * n - 1)
+        assert t[(2,)] == Fraction(-1, n * (n * n - 1))
 
 
 def test_weingarten_gram_identity():
@@ -344,7 +344,8 @@ def test_weingarten_gram_identity():
                     for i, j in enumerate(tau):
                         inv[j] = i
                     st = tuple(sigma[x] for x in inv)
-                    total += table.of_permutation(st) * Fraction(n) ** _ncycles(tau)
+                    total += (table[Permutation(st).cycle_type()]
+                              * Fraction(n) ** _ncycles(tau))
                 assert total == (1 if sigma == tuple(range(k)) else 0)
 
 
