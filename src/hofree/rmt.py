@@ -11,11 +11,14 @@ products of matrix powers (`power_traces`).  A single ensemble's come with
 no QR (`corner_traces`): at full size they are the drawn spectrum's; for a
 corner with 2m <= n from a matrix similar to it, built from an n-by-m
 Ginibre draw; for 2m > n from (n - m)-sized algebra on an n-by-(n - m) draw
-whose complement is the corner's subspace.
+whose complement is the corner's subspace.  Corners run in blocks of
+consecutive replicas (`map_replicas`), as many as fit BLOCK_ENTRIES: one set
+of numpy calls, stacked over a leading replica axis, serves the block; a sum
+keeps its per-replica arithmetic inside its block.
 
 Replica r of a run with master seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are reproducible and independent of any
-parallel schedule.
+parallel schedule; block bounds depend on the replica indices only.
 """
 
 from __future__ import annotations
@@ -45,20 +48,22 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _ginibre(n: int, rng, m: int) -> np.ndarray:
-    """n-by-m complex normals, real parts first, for 1 <= m <= n."""
+def _ginibre(rngs, n: int, m: int) -> np.ndarray:
+    """Per stream of `rngs`, n-by-m complex normals, real parts first, for
+    1 <= m <= n: shape (len(rngs), n, m), each draw written into its slice."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n; got n = {n} and m = {m}")
-    z = np.empty((n, m), dtype=complex)
-    z.real = rng.standard_normal((n, m))
-    z.imag = rng.standard_normal((n, m))
+    z = np.empty((len(rngs), n, m), dtype=complex)
+    for zi, rng in zip(z, rngs):
+        zi.real = rng.standard_normal((n, m))
+        zi.imag = rng.standard_normal((n, m))
     return z
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Exactly Haar-distributed unitary: QR of a complex Ginibre matrix with
     the diagonal of R normalized to positive reals."""
-    z = _ginibre(n, rng, n)
+    z = _ginibre([rng], n, n)[0]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -101,14 +106,18 @@ class EnsembleSpec:
         return sum(x ** k for x in eigs)
 
 
-def _draw_atom(spec: EnsembleSpec, rng) -> np.ndarray:
+def _atom_index(spec: EnsembleSpec, rng) -> int:
     u = rng.random()
     acc = 0.0
-    for eigs, p in spec.atoms:
+    for a, (_, p) in enumerate(spec.atoms):
         acc += float(p)
         if u < acc:
-            return np.asarray(eigs, dtype=float)
-    return np.asarray(spec.atoms[-1][0], dtype=float)
+            return a
+    return len(spec.atoms) - 1
+
+
+def _draw_atom(spec: EnsembleSpec, rng) -> np.ndarray:
+    return np.asarray(spec.atoms[_atom_index(spec, rng)][0], dtype=float)
 
 
 def sample_matrix(spec: EnsembleSpec, rng) -> np.ndarray:
@@ -134,91 +143,157 @@ def sum_independent(spec_a: EnsembleSpec, spec_b: EnsembleSpec,
 
 def power_traces(x, powers: Sequence[int]) -> np.ndarray:
     """Normalized traces tr X^p = (1/m) Tr X^p of an m-by-m X, one per entry
-    of `powers`, with no eigensolve: Tr X^p = Tr AB for A = X^floor(p/2) and
-    B = X^ceil(p/2), and tr X from the diagonal.  Up to the largest power P
-    it forms X^2, ..., X^ceil(P/2): one for P <= 4.
+    of `powers` along the last axis, with no eigensolve; a stack of shape
+    (..., m, m) gives one row per matrix.  Tr X^p = Tr AB for
+    A = X^floor(p/2) and B = X^ceil(p/2), and tr X from the diagonal.  Up
+    to the largest power P it forms X^2, ..., X^ceil(P/2): one product per
+    matrix for P <= 4.
 
     >>> power_traces(np.diag([2.0, -1.0, 0.0]), (3, 1, 2, 2))
     array([2.33333333, 0.33333333, 1.66666667, 1.66666667])
     """
     x = np.asarray(x)
-    m = x.shape[0]
+    m = x.shape[-1]
     power = [None, x]
     for _ in range((max(powers) + 1) // 2 - 1):
         power.append(power[-1] @ x)
-    return np.array([(x.trace() if p == 1
-                      else np.einsum("ij,ji->", power[p // 2],
-                                     power[p - p // 2])).real / m
-                     for p in powers])
+    return np.stack([(np.trace(x, axis1=-2, axis2=-1) if p == 1
+                      else _trace_product(power[p // 2], power[p - p // 2])
+                      ).real / m for p in powers], axis=-1)
 
 
-def corner_traces(spec: EnsembleSpec, rng, m: int, powers) -> np.ndarray:
+def _trace_product(a, b):
+    """Tr AB for two matrices, or per matrix pair of two stacks."""
+    return np.einsum("...ij,...ji->...", a, b)
+
+
+# Complex entries that the widest array of one corner block may hold: small
+# corners share their numpy calls across a block of replicas, and a corner
+# whose replica alone exceeds the budget (n = 192, r = 64) runs one replica
+# per block.
+BLOCK_ENTRIES = 4096
+
+
+def _corner_block(n: int, m: int, top: int) -> int:
+    """Replicas per block of `corner_traces`: as many as keep its widest
+    per-replica array, the n-by-m draw for 2m <= n or the
+    n-by-(top + 1)(n - m) scaled draw for n/2 < m < n, within BLOCK_ENTRIES,
+    and at least one.  At m = n, which draws no matrix, a replica counts n
+    entries, for its stream and its row.  An m outside [1, n] gets a block,
+    which `corner_traces` then refuses."""
+    width = 1 if m == n else m if 2 * m <= n else (top + 1) * (n - m)
+    return max(1, BLOCK_ENTRIES // max(1, n * width))
+
+
+@lru_cache(maxsize=16)
+def _atom_tables(spec: EnsembleSpec, powers: tuple[int, ...]) -> tuple:
+    """Per atom of `spec`, one row each of eps l, shape (atoms, n); its
+    powers (eps l)^a for a <= max(powers), shape (atoms, n, max(powers) + 1);
+    and Tr D^p per p of `powers`, shape (atoms, len(powers)).  Computed
+    once per (spec, powers) and read-only, since every block shares them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigs = float(spec.eps) * np.array([l for l, _ in spec.atoms],
+                                          dtype=float)
+        scale = eigs[:, :, None] ** np.arange(max(powers) + 1)
+        tr_d = np.array([[np.sum(row ** p) for p in powers] for row in eigs])
+    for table in (eigs, scale, tr_d):
+        table.flags.writeable = False
+    return eigs, scale, tr_d
+
+
+def corner_traces(spec: EnsembleSpec, rngs, m: int, powers) -> np.ndarray:
     """Normalized traces of the m-by-m corner W*DW, D = diag(eps l), of
-    1 <= m <= n, with no QR.  For 2m <= n the n-by-m Ginibre draw Z has the
-    phase-fixed thin QR Z = WR, W an n-by-m Haar isometry, and W*DW is
+    1 <= m <= n, with no QR: row i, one entry per power, from the stream
+    rngs[i] of a block of replicas.  Each stream draws its atom, then its
+    Ginibre matrix; the block is then computed by numpy calls on arrays
+    stacked over its replicas.  For 2m <= n the n-by-m Ginibre draw Z has
+    the phase-fixed thin QR Z = WR, W an n-by-m Haar isometry, and W*DW is
     similar to Y = (Z*Z)^-1 Z*DZ, whose traces these are.  For 2m > n the
     draw is an n-by-(n - m) Ginibre Z whose complement is the Haar
     m-subspace: with Q = Z G^-1 Z* and G = Z*Z, Tr (W*DW)^p =
     Tr (D - QD)^p, read off N_b = G^-1 Z*D^bZ by the resolvent recursion of
-    `_add_complement_traces`.  For m = n they are tr D^p."""
+    `_complement_corrections`.  For m = n they are tr D^p of the drawn atom;
+    D's powers and traces come once per atom from `_atom_tables`."""
     n = spec.n
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n; got n = {n} and m = {m}")
-    eigs = float(spec.eps) * _draw_atom(spec, rng)
+    powers = tuple(powers)
+    eigs, scale, tr_d = _atom_tables(spec, powers)
+    atoms = [_atom_index(spec, rng) for rng in rngs]
     # a spectrum that overflows gives inf or nan traces, which the caller
     # refuses; the arithmetic that carries them there does not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if 2 * m <= n:
-            z = _ginibre(n, rng, m)
-            zh = z.conj().T
-            gram, t = zh @ z, (zh * eigs) @ z
+            z = _ginibre(rngs, n, m)
+            zh = z.conj().swapaxes(1, 2)
+            gram, t = zh @ z, (zh * eigs[atoms][:, None, :]) @ z
             del z, zh       # keeps n-by-m arrays out of the solve's peak memory
-            y = np.linalg.solve(gram, t)
-            return power_traces(y, powers)
-        traces = {p: np.sum(eigs ** p) for p in powers}
+            return power_traces(np.linalg.solve(gram, t), powers)
+        traces = tr_d[atoms]
         if m < n:
-            _add_complement_traces(traces, eigs, _ginibre(n, rng, n - m))
-        return np.array([traces[p].real for p in powers]) / m
+            traces = traces - _complement_corrections(
+                _ginibre(rngs, n, n - m), scale[atoms], powers)
+        return traces.real / m
 
 
-def _add_complement_traces(traces: dict, eigs: np.ndarray, z: np.ndarray):
-    """Add Tr (D - QD)^p - Tr D^p to traces[p] = Tr D^p for each p, from the
-    n-by-r draw Z.  QD = ZB with B = G^-1 Z*D, and by Sylvester's identity
+def _complement_corrections(z: np.ndarray, scale: np.ndarray,
+                            powers) -> np.ndarray:
+    """Tr D^p - Tr (D - QD)^p per n-by-r draw Z of the stack `z` (one row;
+    z is overwritten by Z*) and p of `powers` (one column), scale[i] holding
+    the powers D^a of draw i's D as columns a = 0..P, P = max(powers).
+    QD = ZB with B = G^-1 Z*D, and by Sylvester's identity
     log det(1 - w(D - ZB)) = log det(1 - wD) + log det F(w), where
     F(w) = I_r + B(1 - wD)^-1 Zw = I_r + sum_b N_b w^b; the w-derivative
     gives Tr (D - QD)^p = Tr D^p - sum_(b <= p) b Tr(R_(p-b) N_b), the R_q
-    the coefficients of F^-1: R_0 = I, R_q = -sum_(b <= q) N_b R_(q-b).
-    One r-by-n by n-by-(P + 1)r product for G and every Z*D^aZ, a <= P, one
-    r-by-r inverse, and r-by-r products: N_b for b < P and (P - 1)(P - 2)/2
-    for the R_q; Tr N_p is read off G^-1 and Z*D^pZ."""
-    n, r = z.shape
-    top = max(traces)
-    scaled = z[:, None, :] * (eigs[:, None] ** np.arange(top + 1))[:, :, None]
-    blocks = (z.conj().T @ scaled.reshape(n, (top + 1) * r)).reshape(
-        r, top + 1, r)
+    the coefficients of F^-1: R_0 = I and
+    R_q = -sum_(b <= q) R_(q-b) N_b = -sum_(b <= q) N_b R_(q-b).  R_(P-1)
+    is read only through Tr(R_(P-1) N_1) = -sum_b Tr(N_b R_(P-1-b) N_1),
+    whose R_q N_1 the first recursion forms, so it is never formed.  Per
+    draw: one r-by-n by n-by-(P + 1)r product for G and every Z*D^aZ, one
+    r-by-r inverse, and r-by-r products: N_b for b < P and, for P >= 3,
+    (P - 2)(P - 3)/2 + 1 more for the R_q and R_q N_1; Tr N_p is read off
+    G^-1 and Z*D^pZ."""
+    c, n, r = z.shape
+    top = scale.shape[-1] - 1
+    scaled = (z[:, :, None, :] * scale[:, :, :, None]).reshape(
+        c, n, (top + 1) * r)
+    # Z* in place: no copy of Z beside the scaled draws at the peak
+    blocks = (np.conjugate(z, out=z).swapaxes(1, 2) @ scaled).reshape(
+        c, r, top + 1, r)
     del scaled
-    ginv = np.linalg.inv(blocks[:, 0])
-    nb = [None] + [ginv @ blocks[:, b] for b in range(1, top)]
-    res = [None]                        # R_q, with R_0 = I left implicit
-    for q in range(1, top):
-        res.append(-nb[q] - sum(nb[b] @ res[q - b] for b in range(1, q)))
-    for p in traces:
-        traces[p] -= p * np.einsum("ij,ji->", ginv, blocks[:, p]) + sum(
-            b * np.einsum("ij,ji->", res[p - b], nb[b]) for b in range(1, p))
+    ginv = np.linalg.inv(blocks[:, :, 0])
+    nb = [None] + [ginv @ blocks[:, :, b] for b in range(1, top)]
+    res = [None]            # R_q for q <= P - 2, with R_0 = I left implicit
+    rn1 = nb[1:2]           # R_q N_1
+    for q in range(1, top - 1):
+        res.append(-nb[q] - sum(rn1[q - 1] if b == 1 else res[q - b] @ nb[b]
+                                for b in range(1, q)))
+        rn1.append(res[q] @ nb[1])
+    last = -sum(_trace_product(nb[b], rn1[top - 1 - b])   # Tr(R_(P-1) N_1)
+                for b in range(1, top))
+    return np.stack([p * _trace_product(ginv, blocks[:, :, p]) + sum(
+        b * (last if p - b == top - 1 else _trace_product(res[p - b], nb[b]))
+        for b in range(1, p)) for p in powers], axis=-1)
 
 
-def map_replicas(f, replicas: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Array whose row r is f applied to replica r's stream, in replica
-    order.  With threads > 1 the rows are computed on a thread pool; each row
-    depends on its own stream only, so the result is the same for any thread
-    count."""
-    def row(r: int):
-        return f(replica_rng(seed, r))
+def map_replicas(f, replicas: int, seed: int, threads: int = 1,
+                 block: int = 1) -> np.ndarray:
+    """Array whose row r comes from replica r's stream, in replica order.
+    f maps a block of consecutive streams, replica_rng(seed, r) for the r
+    of [start, start + block) below `replicas`, to an array with one row per
+    stream; blocks start at the multiples of `block`, so their bounds depend
+    on the replica indices only.  With threads > 1 the blocks are computed
+    on a thread pool; each row depends on its own stream only, so the result
+    is the same for any thread count."""
+    def run(start: int):
+        return f([replica_rng(seed, r)
+                  for r in range(start, min(start + block, replicas))])
 
+    starts = range(0, replicas, block)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(row, range(replicas))))
-    return np.array([row(r) for r in range(replicas)])
+            return np.concatenate(list(pool.map(run, starts)))
+    return np.concatenate([run(start) for start in starts])
 
 
 @dataclass(frozen=True)
@@ -245,18 +320,23 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
     if not powers or min(powers) < 1:
         raise ValueError(f"trace powers must be at least 1; got {powers}")
     if isinstance(spec, EnsembleSpec):
-        def traces(rng):
-            return corner_traces(spec, rng, spec.n if m is None else m, powers)
+        m = spec.n if m is None else m
+
+        def traces(rngs):
+            return corner_traces(spec, rngs, m, powers)
+        block = _corner_block(spec.n, m, max(powers))
     else:
         if m is not None:
             raise ValueError("corners of sums are not sampled")
 
-        def traces(rng):
+        def traces(rngs):
             # as in corner_traces, an overflow is refused below, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
-                return power_traces(sum_independent(*spec, rng), powers)
+                return np.array([power_traces(sum_independent(*spec, rng), powers)
+                                 for rng in rngs])
+        block = 1
 
-    values = map_replicas(traces, replicas, seed, threads)
+    values = map_replicas(traces, replicas, seed, threads, block)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, i = bad[0]

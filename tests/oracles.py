@@ -52,7 +52,7 @@ def corner_by_qr(spec: rmt.EnsembleSpec, rng, m: int) -> np.ndarray:
     draw of `rmt.sample_matrix`.  The QR corner whose traces
     `rmt.corner_traces` reads from the same draws without a QR."""
     eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
-    z = rmt._ginibre(spec.n, rng, m)
+    z = rmt._ginibre([rng], spec.n, m)[0]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -66,7 +66,7 @@ def complement_corner(spec: rmt.EnsembleSpec, rng, m: int) -> np.ndarray:
     onto the range of the n-by-(n - m) Ginibre draw, so the matrix has the
     corner's m eigenvalues and n - m zeros."""
     eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
-    z = rmt._ginibre(spec.n, rng, spec.n - m)
+    z = rmt._ginibre([rng], spec.n, spec.n - m)[0]
     zh = z.conj().T
     p = np.eye(spec.n) - z @ np.linalg.solve(zh @ z, zh)
     x = p @ (eigs[:, None] * p)

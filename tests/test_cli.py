@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -155,18 +156,18 @@ def test_simulate_draws_each_replica_once_and_has_no_svg(tmp_path, capsys,
                  "1,0,-1", "--replicas", "10", "--svg"]) == 2
     assert not (tmp_path / "svg").exists()
     capsys.readouterr()
-    corner_traces = rmt.corner_traces
-    calls = []
+    replica_rng = rmt.replica_rng
+    streams = Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return corner_traces(*args, **kwargs)
+    def counted(seed, replica):
+        streams[seed, replica] += 1
+        return replica_rng(seed, replica)
 
-    monkeypatch.setattr(rmt, "corner_traces", counted)
+    monkeypatch.setattr(rmt, "replica_rng", counted)
     assert main(["--out", str(tmp_path / "a"), "simulate", "--spectrum",
                  "1,0,-1", "--replicas", "40"]) == 0
     capsys.readouterr()
-    assert len(calls) == 40
+    assert streams == Counter({(1, r): 1 for r in range(40)})
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
         ["summary.json", "traces.csv"]
 

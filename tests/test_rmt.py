@@ -148,7 +148,7 @@ def test_corner():
         with pytest.raises(ValueError):
             corner_by_qr(spec, replica_rng(4, 0), m)
         with pytest.raises(ValueError, match=rf"got n = 5 and m = {m}$"):
-            corner_traces(spec, replica_rng(4, 0), m, (1,))
+            corner_traces(spec, [replica_rng(4, 0)], m, (1,))
         with pytest.raises(ValueError):
             trace_statistics(spec, (1,), replicas=2, seed=0, m=m)
     with pytest.raises(ValueError, match="corners of sums"):
@@ -174,7 +174,7 @@ def test_full_draw_is_the_conjugation_formula():
         # a full-size corner's traces are the spectrum's
         tr_d = [np.mean((0.25 * np.array(eigs)) ** p) for p in (2, 1)]
         assert np.array_equal(
-            corner_traces(spec, replica_rng(12, r), 4, (2, 1)), tr_d)
+            corner_traces(spec, [replica_rng(12, r)], 4, (2, 1))[0], tr_d)
     assert np.array_equal(
         trace_statistics(spec, (1, 2, 3), replicas=5, seed=12, m=4).values,
         trace_statistics(spec, (1, 2, 3), replicas=5, seed=12).values)
@@ -226,6 +226,27 @@ def test_trace_statistics_thread_count_invariance():
     c2 = trace_statistics(spec, (1, 2), replicas=40, seed=21, threads=2, m=2)
     assert np.array_equal(c1.values, c2.values)
     assert not np.array_equal(c1.values, t1.values)
+    # corners run in blocks of replicas: on each path (m = n, 2m <= n and
+    # 2m > n), a count that is no multiple of the block gives the same rows
+    # for 1 and 2 threads, each that of a one-replica block on its stream,
+    # bit for bit at m = n and up to round-off of the stacked calls
+    wide = EnsembleSpec.mixture([(range(12, 0, -1), Fraction(1, 2)),
+                                 (range(-6, 6), Fraction(1, 2))],
+                                eps=Fraction(1, 8))
+    powers = (1, 2, 3, 4)
+    for m in (12, 4, 8):
+        block = rmt._corner_block(12, m, max(powers))
+        assert 1 < block < 400
+        replicas = 2 * block + 3
+        t1 = trace_statistics(wide, powers, replicas, seed=22, threads=1, m=m)
+        t2 = trace_statistics(wide, powers, replicas, seed=22, threads=2, m=m)
+        assert np.array_equal(t1.values, t2.values)
+        rows = np.array([corner_traces(wide, [replica_rng(22, r)], m, powers)[0]
+                         for r in range(replicas)])
+        if m == 12:
+            assert np.array_equal(t1.values, rows)
+        else:
+            assert np.allclose(t1.values, rows, rtol=1e-12, atol=0), m
 
 
 def test_power_traces_match_eigenvalue_powers():
@@ -257,7 +278,11 @@ def test_power_traces_match_eigenvalue_powers():
               for spec in (fixed, mixture) for m in range(1, spec.n + 1)]
     for spec, m, reps, draw in cases:
         table = trace_statistics(spec, powers, replicas=reps, seed=31, m=m)
+        # the plug-in cumulants read the last bits of the layout, so every
+        # path returns the same one
         assert table.values.shape == (reps, len(powers))
+        assert table.values.dtype == np.float64
+        assert table.values.flags.c_contiguous
         for r in range(reps):
             eigs = eigenvalues(draw(replica_rng(31, r)))
             norm = max(1.0, float(np.abs(eigs).max()))
@@ -280,11 +305,11 @@ def test_complement_recursion_matches_the_word_expansion():
         spec = EnsembleSpec.mixture(
             [(top, Fraction(1, 2)), (alt, Fraction(1, 2))], eps=Fraction(1, n))
         for r in range(3):
-            got = corner_traces(spec, replica_rng(7, r), m, powers) * m
+            got = corner_traces(spec, [replica_rng(7, r)], m, powers)[0] * m
             rng = replica_rng(7, r)
             eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
             want = complement_traces_by_words(
-                eigs, rmt._ginibre(n, rng, n - m), powers)
+                eigs, rmt._ginibre([rng], n, n - m)[0], powers)
             for p, g, w in zip(powers, got, want):
                 assert abs(g - w) <= 1e-12 * abs(w), (n, m, r, p)
 
@@ -319,6 +344,18 @@ def test_non_finite_traces_and_matrices_refused():
             with pytest.raises(ValueError,
                                match=r"tr X\^2 of replica 0 is not finite"):
                 trace_statistics(huge, (1, 2), replicas=5, seed=0, m=m)
+        # the refusal names the global replica, past the first block on
+        # every corner path (m = 1, 2 and 3)
+        rare = EnsembleSpec.mixture([((1e200, 0, -1), Fraction(1, 1000)),
+                                     ((1, 0, -1), Fraction(999, 1000))])
+        first = next(r for r in range(2000)
+                     if rmt._atom_index(rare, replica_rng(1, r)) == 0)
+        assert first == 1924
+        for m in (1, 2, 3):
+            assert first >= rmt._corner_block(3, m, 2)
+            with pytest.raises(ValueError,
+                               match=rf"tr X\^2 of replica {first} is not"):
+                trace_statistics(rare, (1, 2), replicas=2000, seed=1, m=m)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite"):
             eigenvalues(np.array([[1.0, 0.0], [0.0, bad]]))
