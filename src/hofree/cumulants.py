@@ -218,7 +218,9 @@ def bootstrap(samples: np.ndarray, statistic: Callable, n_boot: int,
     """Point values of statistic(samples), a list, and a nonparametric
     bootstrap standard error for each entry: n_boot resamples of the rows,
     drawn from rng.  The spreads of the real and imaginary parts add in
-    quadrature."""
+    quadrature; n_boot < 2 resamples have no spread and are refused."""
+    if n_boot < 2:
+        raise ValueError(f"the bootstrap needs n_boot >= 2; got {n_boot}")
     point = statistic(samples)
     reps = samples.shape[0]
     boots = np.empty((len(point), n_boot), dtype=complex)

@@ -116,9 +116,8 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
     col = {p: i for i, p in enumerate(pairs_needed)}
     rows_at, cols_at = zip(*pairs_needed)
     data = rmt.map_replicas(
-        lambda rngs: np.array([rmt.sample_matrix(spec, rng)[rows_at, cols_at]
-                               for rng in rngs]),
-        replicas, seed)
+        lambda rngs: rmt.sample_matrix(spec, rngs)[:, rows_at, cols_at],
+        replicas, seed, block=rmt._replica_block(spec.n, None, 1))
     cols_of = {vp.permutation: [col[(m, vp.permutation(m))] for m in range(k)]
                for vp in targets}
 

@@ -11,10 +11,10 @@ products of matrix powers (`power_traces`).  A single ensemble's come with
 no QR (`corner_traces`): at full size they are the drawn spectrum's; for a
 corner with 2m <= n from a matrix similar to it, built from an n-by-m
 Ginibre draw; for 2m > n from (n - m)-sized algebra on an n-by-(n - m) draw
-whose complement is the corner's subspace.  Corners run in blocks of
-consecutive replicas (`map_replicas`), as many as fit BLOCK_ENTRIES: one set
-of numpy calls, stacked over a leading replica axis, serves the block; a sum
-keeps its per-replica arithmetic inside its block.
+whose complement is the corner's subspace.  Every sampler takes a block of
+consecutive replica streams (`map_replicas`), as many as fit BLOCK_ENTRIES,
+and returns one result per stream, stacked on a leading replica axis: each
+stream draws in its own order, then one set of numpy calls serves the block.
 
 Replica r of a run with master seed s draws from the counter-based Philox
 stream keyed by (s, r), so results are reproducible and independent of any
@@ -29,7 +29,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -60,14 +60,14 @@ def _ginibre(rngs, n: int, m: int) -> np.ndarray:
     return z
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Exactly Haar-distributed unitary: QR of a complex Ginibre matrix with
-    the diagonal of R normalized to positive reals."""
-    z = _ginibre([rng], n, n)[0]
+def haar_unitary(n: int, rngs) -> np.ndarray:
+    """Exactly Haar unitaries, (len(rngs), n, n), one per stream of `rngs`:
+    one stacked QR of their complex Ginibre draws, each R's diagonal positive."""
+    z = _ginibre(rngs, n, n)
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -116,29 +116,28 @@ def _atom_index(spec: EnsembleSpec, rng) -> int:
     return len(spec.atoms) - 1
 
 
-def _draw_atom(spec: EnsembleSpec, rng) -> np.ndarray:
-    return np.asarray(spec.atoms[_atom_index(spec, rng)][0], dtype=float)
-
-
-def sample_matrix(spec: EnsembleSpec, rng) -> np.ndarray:
-    """X = eps * U diag(l) U* for a drawn spectrum atom l and a fresh Haar
-    unitary U."""
-    eigs = float(spec.eps) * _draw_atom(spec, rng)
-    u = haar_unitary(spec.n, rng)
-    x = (u * eigs) @ u.conj().T
-    return (x + x.conj().T) / 2       # remove floating-point drift
+def sample_matrix(spec: EnsembleSpec, rngs) -> np.ndarray:
+    """X = eps * U diag(l) U*, (len(rngs), n, n), one per stream of `rngs`,
+    which draws its spectrum atom l, then the Ginibre matrix of its Haar U."""
+    atoms = [_atom_index(spec, rng) for rng in rngs]
+    eigs = _atom_tables(spec, (1,))[0][atoms]
+    u = haar_unitary(spec.n, rngs)
+    x = (u * eigs[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return (x + x.conj().swapaxes(1, 2)) / 2      # remove floating-point drift
 
 
 def sum_independent(spec_a: EnsembleSpec, spec_b: EnsembleSpec,
-                    rng) -> np.ndarray:
-    """diag(eps_a l_a) + X_b from one Haar draw: the sum of independent
-    draws from the two ensembles up to conjugation (U A U* + V B V* is
-    U (A + W B W*) U* with W = U*V Haar and independent of U), so its
-    spectrum and traces have the sum's law; its entries do not."""
+                    rngs) -> np.ndarray:
+    """diag(eps_a l_a) + X_b, (len(rngs), n, n), one per stream of `rngs`,
+    which draws atom a first: independent draws of the two ensembles summed
+    up to conjugation (U A U* + V B V* is U (A + W B W*) U*, W = U*V Haar and
+    independent of U): the spectrum and traces have the sum's law, entries not."""
     if spec_a.n != spec_b.n:
         raise ValueError("summands must have the same size")
-    a = float(spec_a.eps) * _draw_atom(spec_a, rng)
-    return np.diag(a) + sample_matrix(spec_b, rng)
+    atoms = [_atom_index(spec_a, rng) for rng in rngs]
+    a = _atom_tables(spec_a, (1,))[0][atoms]
+    diagonal = np.where(np.eye(spec_a.n, dtype=bool), a[:, :, None], 0.0)
+    return diagonal + sample_matrix(spec_b, rngs)
 
 
 def power_traces(x, powers: Sequence[int]) -> np.ndarray:
@@ -167,21 +166,22 @@ def _trace_product(a, b):
     return np.einsum("...ij,...ji->...", a, b)
 
 
-# Complex entries that the widest array of one corner block may hold: small
-# corners share their numpy calls across a block of replicas, and a corner
-# whose replica alone exceeds the budget (n = 192, r = 64) runs one replica
-# per block.
+# Complex entries that the widest array of one block may hold: small draws
+# share their numpy calls across a block of replicas, and a draw whose
+# replica alone exceeds the budget (a corner at n = 192, r = 64, a sum at
+# n = 64) runs one replica per block.
 BLOCK_ENTRIES = 4096
 
 
-def _corner_block(n: int, m: int, top: int) -> int:
-    """Replicas per block of `corner_traces`: as many as keep its widest
-    per-replica array, the n-by-m draw for 2m <= n or the
-    n-by-(top + 1)(n - m) scaled draw for n/2 < m < n, within BLOCK_ENTRIES,
-    and at least one.  At m = n, which draws no matrix, a replica counts n
-    entries, for its stream and its row.  An m outside [1, n] gets a block,
-    which `corner_traces` then refuses."""
-    width = 1 if m == n else m if 2 * m <= n else (top + 1) * (n - m)
+def _replica_block(n: int, m: int | None, top: int) -> int:
+    """Replicas per block: as many as keep the widest per-replica array, the
+    n-by-n matrix of a full draw or a sum (m None), or for `corner_traces`
+    the n-by-m draw (2m <= n) or n-by-(top + 1)(n - m) scaled draw
+    (n/2 < m < n), within BLOCK_ENTRIES, and at least one.  At m = n, which
+    draws no matrix, a replica counts n entries, for its stream and its row.
+    An m outside [1, n] gets a block, which `corner_traces` then refuses."""
+    width = (n if m is None else 1 if m == n else m if 2 * m <= n
+             else (top + 1) * (n - m))
     return max(1, BLOCK_ENTRIES // max(1, n * width))
 
 
@@ -281,10 +281,10 @@ def map_replicas(f, replicas: int, seed: int, threads: int = 1,
     """Array whose row r comes from replica r's stream, in replica order.
     f maps a block of consecutive streams, replica_rng(seed, r) for the r
     of [start, start + block) below `replicas`, to an array with one row per
-    stream; blocks start at the multiples of `block`, so their bounds depend
-    on the replica indices only.  With threads > 1 the blocks are computed
-    on a thread pool; each row depends on its own stream only, so the result
-    is the same for any thread count."""
+    stream, as every sampler here does; blocks start at the multiples of
+    `block`, so their bounds depend on the replica indices only.  With
+    threads > 1 the blocks run on a thread pool; each row depends on its own
+    stream only, so the result is the same for any thread count and block."""
     def run(start: int):
         return f([replica_rng(seed, r)
                   for r in range(start, min(start + block, replicas))])
@@ -313,30 +313,27 @@ def trace_statistics(spec, powers: Sequence[int], replicas: int, seed: int,
     """Monte-Carlo table of normalized traces of X, or of its leading m-by-m
     corner, by `corner_traces` (for m = n the spectrum's, exact after the
     atom draw); `spec` is an EnsembleSpec or a pair of them (summed
-    independently by `sum_independent`, and then without a corner)."""
+    independently by `sum_independent`, without a corner), one call a block."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     powers = tuple(powers)
     if not powers or min(powers) < 1:
         raise ValueError(f"trace powers must be at least 1; got {powers}")
     if isinstance(spec, EnsembleSpec):
-        m = spec.n if m is None else m
-
-        def traces(rngs):
-            return corner_traces(spec, rngs, m, powers)
-        block = _corner_block(spec.n, m, max(powers))
+        n, m = spec.n, spec.n if m is None else m
+        traces = partial(corner_traces, spec, m=m, powers=powers)
     else:
         if m is not None:
             raise ValueError("corners of sums are not sampled")
+        n = spec[0].n
 
         def traces(rngs):
             # as in corner_traces, an overflow is refused below, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.array([power_traces(sum_independent(*spec, rng), powers)
-                                 for rng in rngs])
-        block = 1
+                return power_traces(sum_independent(*spec, rngs), powers)
 
-    values = map_replicas(traces, replicas, seed, threads, block)
+    values = map_replicas(traces, replicas, seed, threads,
+                          _replica_block(n, m, max(powers)))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, i = bad[0]

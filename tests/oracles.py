@@ -49,9 +49,10 @@ def corner_by_qr(spec: rmt.EnsembleSpec, rng, m: int) -> np.ndarray:
     """Leading m-by-m block of X = eps * U diag(l) U*, 1 <= m <= n, drawn as
     W* diag(eps * l) W for the n-by-m Haar isometry W of the phase-fixed thin
     QR of an n-by-m Ginibre draw; at m = n it is U diag(eps * l) U*, the
-    draw of `rmt.sample_matrix`.  The QR corner whose traces
+    stream's draw of `rmt.sample_matrix`.  The QR corner whose traces
     `rmt.corner_traces` reads from the same draws without a QR."""
-    eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
+    eigs = float(spec.eps) * np.asarray(
+        spec.atoms[rmt._atom_index(spec, rng)][0], dtype=float)
     z = rmt._ginibre([rng], spec.n, m)[0]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -65,7 +66,8 @@ def complement_corner(spec: rmt.EnsembleSpec, rng, m: int) -> np.ndarray:
     """(I - Q) D (I - Q) from the draws of a corner with 2m > n: Q projects
     onto the range of the n-by-(n - m) Ginibre draw, so the matrix has the
     corner's m eigenvalues and n - m zeros."""
-    eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
+    eigs = float(spec.eps) * np.asarray(
+        spec.atoms[rmt._atom_index(spec, rng)][0], dtype=float)
     z = rmt._ginibre([rng], spec.n, spec.n - m)[0]
     zh = z.conj().T
     p = np.eye(spec.n) - z @ np.linalg.solve(zh @ z, zh)

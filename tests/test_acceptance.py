@@ -243,14 +243,14 @@ def test_criterion_06_weingarten_oracle():
     reps = 100_000
     patterns = [[(0, 0)], [(0, 1), (1, 0)], [(0, 0), (1, 1)],
                 [(0, 1), (1, 2), (2, 0)]]
-    data = np.empty((reps, len(patterns)), dtype=complex)
-    for r in range(reps):
-        x = rmt.sample_matrix(spec, rmt.replica_rng(60, r))
-        for c, pairs in enumerate(patterns):
-            v = 1.0
-            for i, j in pairs:
-                v = v * x[i, j]
-            data[r, c] = v
+
+    def products(rngs):
+        x = rmt.sample_matrix(spec, rngs)
+        return np.stack([np.prod([x[:, i, j] for i, j in pairs], axis=0)
+                         for pairs in patterns], axis=1)
+
+    data = rmt.map_replicas(products, reps, 60,
+                            block=rmt._replica_block(spec.n, None, 1))
     for c, pairs in enumerate(patterns):
         exact = complex(rmt.exact_entry_moment(spec, pairs))
         est = estimate_cumulants(data, (c,), n_boot=100,

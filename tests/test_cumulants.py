@@ -16,7 +16,15 @@ from hofree.cumulants import (
     moments_to_cumulants,
     sample_cumulants,
 )
-from hofree.partperm import SetPartition, mobius, set_partitions
+from hofree.hof import kappa_mc
+from hofree.partperm import (
+    PartitionedPermutation,
+    Permutation,
+    SetPartition,
+    mobius,
+    set_partitions,
+)
+from hofree.rmt import EnsembleSpec
 
 
 class Discrete:
@@ -300,6 +308,18 @@ def test_estimate_product_of_independent_normals():
 def test_estimate_requires_replicas():
     with pytest.raises(ValueError):
         estimate_cumulants(np.ones((1, 2)), (0,))
+
+
+def test_bootstrap_refuses_fewer_than_two_resamples():
+    # one resample or none has no spread: refused, not a nan standard error
+    samples = np.arange(10.0).reshape(5, 2)
+    for n_boot in (1, 0, -3):
+        with pytest.raises(ValueError, match=rf"n_boot >= 2; got {n_boot}$"):
+            estimate_cumulants(samples, (0,), n_boot=n_boot)
+    with pytest.raises(ValueError, match=r"n_boot >= 2; got 1$"):
+        kappa_mc(EnsembleSpec.fixed((1, 0)),
+                 [PartitionedPermutation.minimal(Permutation.identity(1))],
+                 replicas=1000, seed=0, n_boot=1)
 
 
 def test_estimate_refuses_joint_orders_outside_one_to_four():

@@ -18,6 +18,8 @@ from hofree.rmt import (
     corner_traces,
     exact_entry_moment,
     haar_unitary,
+    map_replicas,
+    power_traces,
     replica_rng,
     sample_matrix,
     sum_independent,
@@ -34,11 +36,16 @@ from oracles import (
 )
 
 
+# blocks of replicas for the draws of full n-by-n matrices
+def full_block(n):
+    return rmt._replica_block(n, None, 1)
+
+
 def test_haar_unitary_is_unitary():
-    rng = replica_rng(1, 0)
     for n in (1, 2, 5, 16):
-        u = haar_unitary(n, rng)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-12
+        u = haar_unitary(n, [replica_rng(1, r) for r in range(3)])
+        assert u.shape == (3, n, n)
+        assert np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(n))) <= 1e-12
 
 
 def test_replica_rng_refuses_keys_outside_64_bits():
@@ -53,9 +60,8 @@ def test_replica_rng_refuses_keys_outside_64_bits():
 
 def test_haar_first_and_second_entry_moments():
     n, reps = 4, 20_000
-    entries = np.empty(reps, dtype=complex)
-    for r in range(reps):
-        entries[r] = haar_unitary(n, replica_rng(7, r))[0, 0]
+    entries = map_replicas(lambda rngs: haar_unitary(n, rngs)[:, 0, 0], reps,
+                           seed=7, block=full_block(n))
     # E U11 = 0 by phase symmetry, E |U11|^2 = 1/n
     se_mean = entries.std() / np.sqrt(reps)
     assert abs(entries.mean()) <= 3 * se_mean
@@ -83,8 +89,7 @@ def test_ensemble_spec_validation():
 
 def test_sample_matrix_has_prescribed_spectrum():
     spec = EnsembleSpec.fixed((5, 2, -1, -3), eps=Fraction(1, 4))
-    rng = replica_rng(3, 0)
-    x = sample_matrix(spec, rng)
+    x = sample_matrix(spec, [replica_rng(3, 0)])[0]
     got = eigenvalues(x)
     want = np.array([-3, -1, 2, 5]) / 4
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -92,11 +97,9 @@ def test_sample_matrix_has_prescribed_spectrum():
 
 def test_fixed_spectrum_traces_are_deterministic():
     spec = EnsembleSpec.fixed((2, 0, -2))
-    values = []
-    for r in range(5):
-        x = sample_matrix(spec, replica_rng(11, r))
-        values.append(np.trace(x).real)
-    assert np.allclose(values, 0.0, atol=1e-12)
+    x = sample_matrix(spec, [replica_rng(11, r) for r in range(5)])
+    assert x.shape == (5, 3, 3)
+    assert np.allclose(np.trace(x, axis1=1, axis2=2).real, 0.0, atol=1e-12)
     table = trace_statistics(spec, (2,), replicas=64, seed=5)
     assert np.allclose(table.column(2), 8 / 3, atol=1e-12)
     assert table.column(2).std() <= 1e-13
@@ -106,10 +109,9 @@ def test_mixture_frequencies():
     spec = EnsembleSpec.mixture([((1, 0), Fraction(1, 2)),
                                  ((3, 0), Fraction(1, 2))])
     reps = 4000
-    hits = 0
-    for r in range(reps):
-        eigs = eigenvalues(sample_matrix(spec, replica_rng(17, r)))
-        hits += abs(eigs[-1] - 3.0) < 1e-9
+    draws = map_replicas(lambda rngs: sample_matrix(spec, rngs), reps, seed=17,
+                         block=full_block(spec.n))
+    hits = sum(abs(eigenvalues(x)[-1] - 3.0) < 1e-9 for x in draws)
     sigma = (reps * 0.25) ** 0.5
     assert abs(hits - reps / 2) <= 3 * sigma
 
@@ -117,16 +119,16 @@ def test_mixture_frequencies():
 def test_sum_independent():
     zero = EnsembleSpec.fixed((0, 0, 0))
     other = EnsembleSpec.fixed((4, 1, -2))
-    s = sum_independent(zero, other, replica_rng(2, 0))
+    s = sum_independent(zero, other, [replica_rng(2, 0)])[0]
     assert np.max(np.abs(np.sort(eigenvalues(s)) - np.array([-2, 1, 4]))) <= 1e-10
     # deterministic trace additivity for fixed spectra
     a = EnsembleSpec.fixed((2, 1, 0))
     b = EnsembleSpec.fixed((5, -1, -1))
-    for r in range(3):
-        x = sum_independent(a, b, replica_rng(9, r))
-        assert abs(np.trace(x).real - (3 + 3)) <= 1e-10
+    x = sum_independent(a, b, [replica_rng(9, r) for r in range(3)])
+    assert x.shape == (3, 3, 3)
+    assert np.all(np.abs(np.trace(x, axis1=1, axis2=2).real - (3 + 3)) <= 1e-10)
     with pytest.raises(ValueError):
-        sum_independent(a, EnsembleSpec.fixed((1, 0)), replica_rng(0, 0))
+        sum_independent(a, EnsembleSpec.fixed((1, 0)), [replica_rng(0, 0)])
 
 
 def test_corner():
@@ -169,7 +171,7 @@ def test_full_draw_is_the_conjugation_formula():
         u = q * (d / np.abs(d))
         x = (u * (0.25 * np.array(eigs, dtype=float))) @ u.conj().T
         x = (x + x.conj().T) / 2
-        assert np.array_equal(sample_matrix(spec, replica_rng(12, r)), x)
+        assert np.array_equal(sample_matrix(spec, [replica_rng(12, r)])[0], x)
         assert np.array_equal(corner_by_qr(spec, replica_rng(12, r), 4), x)
         # a full-size corner's traces are the spectrum's
         tr_d = [np.mean((0.25 * np.array(eigs)) ** p) for p in (2, 1)]
@@ -209,7 +211,7 @@ def test_eigenvalues_small_cases():
 def test_eigenvalues_residual_guard(monkeypatch):
     # a residual above the tolerance times max(1, ||X||) is refused, not
     # returned
-    x = sample_matrix(EnsembleSpec.fixed(range(8, 0, -1)), replica_rng(9, 0))
+    x = sample_matrix(EnsembleSpec.fixed(range(8, 0, -1)), [replica_rng(9, 0)])[0]
     assert np.allclose(eigenvalues(x), range(1, 9))
     monkeypatch.setattr(oracles, "EIGENVALUE_RESIDUAL_TOL", 1e-30)
     with pytest.raises(RuntimeError, match="eigensolver residual"):
@@ -235,7 +237,7 @@ def test_trace_statistics_thread_count_invariance():
                                 eps=Fraction(1, 8))
     powers = (1, 2, 3, 4)
     for m in (12, 4, 8):
-        block = rmt._corner_block(12, m, max(powers))
+        block = rmt._replica_block(12, m, max(powers))
         assert 1 < block < 400
         replicas = 2 * block + 3
         t1 = trace_statistics(wide, powers, replicas, seed=22, threads=1, m=m)
@@ -247,6 +249,21 @@ def test_trace_statistics_thread_count_invariance():
             assert np.array_equal(t1.values, rows)
         else:
             assert np.allclose(t1.values, rows, rtol=1e-12, atol=0), m
+    # sums run in blocks of n-by-n draws, bit for bit as in one-stream blocks
+    for n in (3, 8):
+        a = EnsembleSpec.mixture([(range(n), Fraction(1, 2)),
+                                  (range(-n, 0), Fraction(1, 2))],
+                                 eps=Fraction(1, n))
+        b = EnsembleSpec.fixed(range(n, 0, -1), eps=0.5)
+        block = rmt._replica_block(n, None, max(powers))
+        assert 1 < block < 500
+        replicas = 2 * block + 3
+        t1 = trace_statistics((a, b), powers, replicas, seed=23, threads=1)
+        t2 = trace_statistics((a, b), powers, replicas, seed=23, threads=2)
+        assert np.array_equal(t1.values, t2.values)
+        rows = map_replicas(lambda rngs: power_traces(
+            sum_independent(a, b, rngs), powers), replicas, seed=23)
+        assert np.array_equal(t1.values, rows), n
 
 
 def test_power_traces_match_eigenvalue_powers():
@@ -268,10 +285,10 @@ def test_power_traces_match_eigenvalue_powers():
             return lambda rng: complement_corner(spec, rng, m)
         return lambda rng: corner_by_qr(spec, rng, m)
 
-    cases = [(fixed, None, 6, lambda rng: sample_matrix(fixed, rng)),
-             (mixture, None, 6, lambda rng: sample_matrix(mixture, rng)),
+    cases = [(fixed, None, 6, lambda rng: sample_matrix(fixed, [rng])[0]),
+             (mixture, None, 6, lambda rng: sample_matrix(mixture, [rng])[0]),
              ((fixed, other), None, 6,
-              lambda rng: sum_independent(fixed, other, rng))]
+              lambda rng: sum_independent(fixed, other, [rng])[0])]
     # at n = 64: the boundary 2m = n of the direct side, and m = n - 1
     cases += [(large, m, 2, corner(large, m)) for m in (32, 33, 63)]
     cases += [(spec, m, 6, corner(spec, m))
@@ -307,7 +324,8 @@ def test_complement_recursion_matches_the_word_expansion():
         for r in range(3):
             got = corner_traces(spec, [replica_rng(7, r)], m, powers)[0] * m
             rng = replica_rng(7, r)
-            eigs = float(spec.eps) * rmt._draw_atom(spec, rng)
+            eigs = float(spec.eps) * np.asarray(
+                spec.atoms[rmt._atom_index(spec, rng)][0], dtype=float)
             want = complement_traces_by_words(
                 eigs, rmt._ginibre([rng], n, n - m)[0], powers)
             for p, g, w in zip(powers, got, want):
@@ -345,17 +363,19 @@ def test_non_finite_traces_and_matrices_refused():
                                match=r"tr X\^2 of replica 0 is not finite"):
                 trace_statistics(huge, (1, 2), replicas=5, seed=0, m=m)
         # the refusal names the global replica, past the first block on
-        # every corner path (m = 1, 2 and 3)
+        # every corner path (m = 1, 2 and 3) and for a sum, whose streams
+        # draw the atom of their first summand first
         rare = EnsembleSpec.mixture([((1e200, 0, -1), Fraction(1, 1000)),
                                      ((1, 0, -1), Fraction(999, 1000))])
         first = next(r for r in range(2000)
                      if rmt._atom_index(rare, replica_rng(1, r)) == 0)
         assert first == 1924
-        for m in (1, 2, 3):
-            assert first >= rmt._corner_block(3, m, 2)
+        other = EnsembleSpec.fixed((2, 1, 0))
+        for spec, m in ((rare, 1), (rare, 2), (rare, 3), ((rare, other), None)):
+            assert first >= rmt._replica_block(3, m, 2)
             with pytest.raises(ValueError,
                                match=rf"tr X\^2 of replica {first} is not"):
-                trace_statistics(rare, (1, 2), replicas=2000, seed=1, m=m)
+                trace_statistics(spec, (1, 2), replicas=2000, seed=1, m=m)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite"):
             eigenvalues(np.array([[1.0, 0.0], [0.0, bad]]))
@@ -519,16 +539,14 @@ def test_entry_moment_matches_monte_carlo():
     reps = 60_000
     pairs_list = [[(0, 0)], [(0, 1), (1, 0)], [(0, 0), (1, 1)],
                   [(0, 1), (1, 2), (2, 0)]]
-    samples = {tuple(p): np.empty(reps, dtype=complex) for p in pairs_list}
-    for r in range(reps):
-        x = sample_matrix(spec, replica_rng(33, r))
-        for pairs in pairs_list:
-            v = 1.0
-            for i, j in pairs:
-                v = v * x[i, j]
-            samples[tuple(pairs)][r] = v
-    for pairs in pairs_list:
-        vals = samples[tuple(pairs)]
+
+    def products(rngs):
+        x = sample_matrix(spec, rngs)
+        return np.stack([np.prod([x[:, i, j] for i, j in pairs], axis=0)
+                         for pairs in pairs_list], axis=1)
+
+    samples = map_replicas(products, reps, seed=33, block=full_block(spec.n))
+    for pairs, vals in zip(pairs_list, samples.T):
         exact = complex(exact_entry_moment(spec, pairs))
         se = max(vals.real.std(), vals.imag.std()) / np.sqrt(reps)
         assert abs(vals.mean().real - exact.real) <= 3 * se + 1e-12
@@ -537,9 +555,10 @@ def test_entry_moment_matches_monte_carlo():
 
 def test_unitary_invariance_of_eigenvalue_statistics():
     spec = EnsembleSpec.fixed((4, 2, 0, -1), eps=0.25)
-    w = haar_unitary(4, replica_rng(100, 0))
-    for r in range(5):
-        x = sample_matrix(spec, replica_rng(55, r))
+    w = haar_unitary(4, [replica_rng(100, 0)])[0]
+    draws = map_replicas(lambda rngs: sample_matrix(spec, rngs), 5, seed=55,
+                         block=full_block(spec.n))
+    for x in draws:
         conj = w @ x @ w.conj().T
         assert np.max(np.abs(eigenvalues(conj) - eigenvalues(x))) <= 1e-10
 
@@ -547,14 +566,16 @@ def test_unitary_invariance_of_eigenvalue_statistics():
 def test_unitary_invariance_of_entry_statistics():
     # conjugating replicas by one fixed unitary leaves entry moments alone
     spec = EnsembleSpec.fixed((3, 1, -1, -3))
-    w = haar_unitary(4, replica_rng(101, 0))
+    w = haar_unitary(4, [replica_rng(101, 0)])[0]
     reps = 20_000
-    plain = np.empty(reps, dtype=complex)
-    conjugated = np.empty(reps, dtype=complex)
-    for r in range(reps):
-        x = sample_matrix(spec, replica_rng(66, r))
+
+    def entries(rngs):
+        x = sample_matrix(spec, rngs)
         y = w @ x @ w.conj().T
-        plain[r] = x[0, 1] * x[1, 0]
-        conjugated[r] = y[0, 1] * y[1, 0]
+        return np.stack([x[:, 0, 1] * x[:, 1, 0], y[:, 0, 1] * y[:, 1, 0]],
+                        axis=1)
+
+    plain, conjugated = map_replicas(entries, reps, seed=66,
+                                     block=full_block(spec.n)).T
     se = (plain.real.std() + conjugated.real.std()) / np.sqrt(reps)
     assert abs(plain.mean().real - conjugated.mean().real) <= 3 * se
