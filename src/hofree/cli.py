@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -312,7 +311,9 @@ def cmd_simulate(args) -> int:
                                  f"({row[bad[0]]})")
             summary["cumulants"].append(row)
     args.out.mkdir(parents=True, exist_ok=True)
-    # the spectrum's label: the hash of its exact size, atoms and eps
+    # the spectrum's label: the hash of its exact size, atoms and eps;
+    # imported here, as no other command needs hashlib at start-up
+    import hashlib
     label = hashlib.sha1(repr((spec.n, spec.atoms, str(spec.eps))).encode())
     _write_csv(args.out / "traces.csv", ["replica", "p", "value"],
                ({"replica": r, "p": p, "value": float(x)}

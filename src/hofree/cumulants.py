@@ -107,23 +107,6 @@ def cumulants_to_moments(c: CumulantTable) -> MomentTable:
     return MomentTable(c.order, values)
 
 
-def cumulant_of_products(c: CumulantTable, grouping: SetPartition):
-    """Joint cumulant of the blockwise products (Leonov-Shiryaev).  A joint
-    moment of the products is the moment of the union of their blocks, which
-    for an interval grouping keeps the positions in order; the grouped moment
-    table is then inverted by the same recursion."""
-    if grouping.size != c.order:
-        raise ValueError("grouping size does not match table order")
-    blocks = grouping.blocks()
-    for blk in blocks:
-        if list(blk) != list(range(blk[0], blk[-1] + 1)):
-            raise ValueError("grouping must be an interval partition")
-    m = cumulants_to_moments(c)
-    grouped = MomentTable.from_function(
-        len(blocks), lambda t: m.block_value([e for j in t for e in blocks[j]]))
-    return moments_to_cumulants(grouped).top()
-
-
 # -- exact matrix arguments ------------------------------------------------
 
 def mat_mul(a, b):

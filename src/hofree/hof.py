@@ -7,9 +7,11 @@ exact finite-n assembly identity and the scaling exponents controlling which
 terms survive the large-n limit, both checked exactly by `hof_check`.  Exact
 entry cumulants are kept by class: `block_cumulants` holds one c(nu) per
 block cycle type, and kappa_(V,pi) is their product over the blocks of V,
-so `hof_check` builds one table per spectrum for every pattern.  Its
-triangle sweep runs once per pi over the V >= C(pi), where V v C(pi^-1 gamma)
-= V v C(gamma), so V v C(gamma) is one join per (V, gamma).
+so `hof_check` builds one table per spectrum for every pattern, and sums
+each class's powers of n as one integer.  Its triangle sweep walks the
+V >= C(pi) once per cycle partition C(pi), where V v C(pi^-1 gamma) =
+V v C(gamma), so V v C(gamma) is one join per (V, gamma), and reads
+#(gamma pi^-1) from a table of cycle counts over S_k.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -134,29 +137,33 @@ def kappa_mc(spec: rmt.EnsembleSpec, targets: Sequence[PartitionedPermutation],
 
 @functools.lru_cache(maxsize=32)
 def _assembly_terms(powers: tuple[int, ...]) -> tuple:
-    """The spectrum-free part of `macro_from_micro`: (a class key, e, the
-    number of its (V, pi) with V v C(gamma) = 1 and #(gamma pi^-1) = e)."""
+    """The spectrum-free part of `macro_from_micro`: per class key, the
+    pairs (e, m), m the number of its (V, pi) with V v C(gamma) = 1 and
+    #(gamma pi^-1) = e."""
     gamma = contiguous_cycles(*powers).images
     full = (0,) * len(gamma)
     counts: dict = {}
     for vp, key in _classes(len(gamma)):
         if _join_cycles(vp.partition.block_of, gamma) == full:
             e = _cycle_row(vp.permutation.images, [gamma])[0]
-            counts[key, e] = counts.get((key, e), 0) + 1
-    return tuple((key, e, m) for (key, e), m in counts.items())
+            by_e = counts.setdefault(key, {})
+            by_e[e] = by_e.get(e, 0) + 1
+    return tuple((key, tuple(by_e.items())) for key, by_e in counts.items())
 
 
 def macro_from_micro(cumulants: dict, n: int, powers: Sequence[int]):
     """Assemble k_l(Tr X^{p_1}, ..., Tr X^{p_l}) from `block_cumulants` of
     any order >= sum(powers): the sum of kappa_(V,pi) n^(#(gamma pi^-1)) over
     (V,pi) whose partition joins with the cycles of gamma to the full
-    partition, one term per conjugacy class and cycle count, as kappa_(V,pi)
-    is the product of c(nu) over the class key."""
+    partition, one term per conjugacy class: kappa_(V,pi), the product of
+    c(nu) over the class key, times the integer sum of m n^e over the
+    class's cycle counts e, each held by m of its (V,pi)."""
     powers = tuple(powers)
     if (sum(powers),) not in cumulants:
         raise ValueError(f"pattern {powers} needs a table of order >= {sum(powers)}")
-    return sum(math.prod(map(cumulants.__getitem__, key)) * (m * n ** e)
-               for key, e, m in _assembly_terms(powers))
+    return sum(math.prod(map(cumulants.__getitem__, key))
+               * sum(m * n ** e for e, m in terms)
+               for key, terms in _assembly_terms(powers))
 
 
 def trace_cumulant_direct(spec: rmt.EnsembleSpec, powers: Sequence[int]):
@@ -202,11 +209,64 @@ def _cycle_row(images: tuple, gammas: list) -> tuple:
     return tuple(_num_cycles([g[j] for j in inv]) for g in gammas)
 
 
+def _triangle_sweep(k: int) -> tuple[int, tuple[int, ...]]:
+    """The number of summands (V, pi, gamma) of order k, V >= C(pi) and
+    V v C(gamma) = 1 for pi in S_k and gamma of each cycle type, and per
+    gamma in `integer_partitions(k)` order the least scaling exponent e
+    over them.
+
+    The loop runs over sigma = pi^-1, as C(pi) = C(sigma) and #pi = #sigma.
+    The V >= C(pi) and their lengths |(V, pi)| = k + #pi - 2 #V depend on
+    C(pi) alone, so `_coarsenings` is walked once per cycle partition,
+    keeping the number of summands and, per gamma, the most blocks of a
+    joining V.  Then e = |(0, gamma sigma)| + |(V, pi)| - |(1, gamma)|, with
+    #(gamma sigma) read from a table of #sigma over S_k.
+    """
+    full, identity = (0,) * k, tuple(range(k))
+    types = integer_partitions(k)
+    gammas = [contiguous_cycles(*c).images for c in types]
+    cycles: dict = {}       # sigma: #sigma
+    by_partition: dict = {}  # C(sigma): (a sigma, #sigma, every such sigma)
+    for sigma in itertools.permutations(identity):
+        label = [-1] * k
+        for start in range(k):
+            j = start
+            while label[j] < 0:
+                label[j] = start
+                j = sigma[j]
+        # get(x) = (x[sigma(0)], ..., x[sigma(k-1)]), so get(gamma) is
+        # gamma sigma and get(identity) is sigma (bare entries when k = 1)
+        get, count = operator.itemgetter(*sigma), len(set(label))
+        cycles[get(identity)] = count
+        by_partition.setdefault(tuple(label), (sigma, count, []))[2].append(get)
+    joins: dict = {}        # per V, #V for each gamma with V v C(gamma) = 1, else 0
+    checked, least = 0, [math.inf] * len(gammas)
+    for sigma, count, gets in by_partition.values():
+        rows = []
+        for block_of, _ in _coarsenings(sigma):
+            if block_of not in joins:
+                blocks = len(set(block_of))
+                joins[block_of] = [blocks * (_join_cycles(block_of, g) == full)
+                                   for g in gammas]
+            rows.append(joins[block_of])
+        # V v C(pi^-1 gamma) = V v C(gamma), so (V, pi) <= (1, gamma) is
+        # e == 0 on the joining V and false off them: e >= 0 is left
+        checked += len(gets) * sum(len(gammas) - row.count(0) for row in rows)
+        # the full V joins every gamma, so each column's most is at least 1
+        lowest = [k + count + 2 - len(c) - 2 * most
+                  for c, most in zip(types, map(max, zip(*rows)))]
+        least = [min(e, low - max([cycles[get(g)] for get in gets]))
+                 for e, low, g in zip(least, lowest, gammas)]
+    return checked, tuple(least)
+
+
 def hof_check(ns: Sequence[int], max_order: int = 4,
               inequality_order: int = 6) -> dict:
     """Exact verification report: the macroscopic/microscopic trace-cumulant
     identity for fixed and two-atom mixed spectra, and the exhaustive triangle
-    inequality over the summand set of the assembly formula.
+    inequality over the summand set of the assembly formula, by
+    `_triangle_sweep`: one walk of the V >= C(pi) per cycle partition, and
+    one cycle count per sigma in S_k read from a table.
 
     >>> [(row["k"], row["summands_checked"], row["holds"])
     ...  for row in hof_check((3,), 1, 3)["triangle"]]
@@ -254,22 +314,8 @@ def hof_check(ns: Sequence[int], max_order: int = 4,
                         "equal": ok,
                     })
     for k in range(1, inequality_order + 1):
-        full = (0,) * k
-        gammas = [contiguous_cycles(*c).images for c in integer_partitions(k)]
-        tops = [k + len(c) - 2 for c in integer_partitions(k)]  # |(1, gamma)|
-        checked, holds = 0, True
-        connected: dict = {}  # per V, the gammas with V v C(gamma) = 1
-        for images in itertools.permutations(range(k)):
-            # e = |(0, gamma pi^-1)| + |(V, pi)| - |(1, gamma)| = d + |(V, pi)|
-            d = [k - c - t for c, t in zip(_cycle_row(images, gammas), tops)]
-            for block_of, length in _coarsenings(images):
-                if block_of not in connected:
-                    connected[block_of] = [i for i, g in enumerate(gammas)
-                                           if _join_cycles(block_of, g) == full]
-                # V v C(pi^-1 gamma) = V v C(gamma), so (V, pi) <= (1, gamma)
-                # is e == 0 on these gammas and false off them: e >= 0 is left
-                checked += len(connected[block_of])
-                holds &= all(d[i] + length >= 0 for i in connected[block_of])
+        checked, least = _triangle_sweep(k)
+        holds = min(least) >= 0
         report["triangle"].append({"k": k, "summands_checked": checked,
                                    "holds": holds})
         report["all_passed"] &= holds

@@ -2,11 +2,11 @@
 
 A partitioned permutation is a pair (V, pi) of a set partition V and a
 permutation pi whose cycles are contained in blocks of V.  The module provides
-the lattice operations and Mobius function of the partition lattice, the
-length functions, the partial product and partial order of partitioned
-permutations, conjugation with its complete invariant (the multiset of
-per-block cycle types), and exhaustive enumeration, whose set partitions
-all come from one streaming walk over those of a permutation's cycles.
+the lattice operations of the partition lattice, the length functions, the
+partial order of partitioned permutations, the complete invariant of their
+conjugation (the multiset of per-block cycle types), and exhaustive
+enumeration, whose set partitions all come from one streaming walk over
+those of a permutation's cycles.
 
 All values are immutable and hashable, all operations are pure.  Values a
 type stores beside its fields (a permutation's cycles and inverse, a pair's
@@ -225,42 +225,6 @@ def set_partitions(k: int) -> Iterator[SetPartition]:
         yield SetPartition(block_of)
 
 
-def _mobius_whole(m: int) -> int:
-    # mu(0_m, 1_m) = (-1)^(m-1) (m-1)!
-    return (-1) ** (m - 1) * math.factorial(m - 1)
-
-
-def mobius(a: SetPartition, b: SetPartition) -> int:
-    """Mobius function of the interval [a, b] of the partition lattice.
-
-    The interval is a product of whole partition lattices, one per block of b,
-    so the value depends only on the number of a-blocks inside each b-block.
-    """
-    if not a.refines(b):
-        raise ValueError("a does not refine b")
-    a_ids = {}
-    for i, blk in enumerate(a.block_of):
-        a_ids.setdefault(blk, b.block_of[i])
-    counts: dict[int, int] = {}
-    for b_id in a_ids.values():
-        counts[b_id] = counts.get(b_id, 0) + 1
-    result = 1
-    for m in counts.values():
-        result *= _mobius_whole(m)
-    return result
-
-
-def interval(a: SetPartition, b: SetPartition) -> Iterator[SetPartition]:
-    """All c with a <= c <= b: the coarsenings of a's blocks that refine b."""
-    if not a.refines(b):
-        raise ValueError("a does not refine b")
-    images = Permutation.from_cycles(a.size, *a.blocks()).images
-    for block_of, _ in _coarsenings(images):
-        c = SetPartition(block_of)
-        if c.refines(b):
-            yield c
-
-
 @dataclass(frozen=True)
 class PartitionedPermutation:
     """A pair (V, pi) with every cycle of pi contained in a block of V."""
@@ -291,18 +255,6 @@ class PartitionedPermutation:
     def length(self) -> int:
         """|pi| + 2 (#pi - #V)."""
         return self._length
-
-
-def product_pp(a: PartitionedPermutation,
-               b: PartitionedPermutation) -> PartitionedPermutation | None:
-    """Partial product: (Va v Vb, pia*pib) if lengths add up, else None."""
-    if a.size != b.size:
-        raise ValueError("ground-set mismatch")
-    result = PartitionedPermutation(a.partition.join(b.partition),
-                                    a.permutation * b.permutation)
-    if a.length() + b.length() != result.length():
-        return None
-    return result
 
 
 def _num_cycles(images: Sequence[int]) -> int:
@@ -347,14 +299,6 @@ def leq_pp(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
             and _join_cycles(a.partition.block_of, sigma) == b.partition.block_of)
 
 
-def conjugate_pp(a: PartitionedPermutation, s: Permutation) -> PartitionedPermutation:
-    """Relabel the ground set by s: pi -> s pi s^-1, blocks mapped through s."""
-    perm = s * a.permutation * s.inverse()
-    blocks = [[s(i) for i in blk] for blk in a.partition.blocks()]
-    return PartitionedPermutation(
-        SetPartition.from_blocks(a.size, blocks), perm)
-
-
 def conjugacy_key(a: PartitionedPermutation):
     """The sorted multiset of per-block cycle types: shared exactly by
     conjugate partitioned permutations, because a relabeling can send blocks
@@ -365,13 +309,6 @@ def conjugacy_key(a: PartitionedPermutation):
     for cyc in a.permutation.cycles():
         types.setdefault(block_of[cyc[0]], []).append(len(cyc))
     return tuple(sorted(tuple(sorted(t, reverse=True)) for t in types.values()))
-
-
-def are_conjugate(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
-    """True iff some relabeling s maps a to b."""
-    if a.size != b.size:
-        raise ValueError("ground-set mismatch")
-    return conjugacy_key(a) == conjugacy_key(b)
 
 
 def integer_partitions(k: int) -> list[tuple[int, ...]]:

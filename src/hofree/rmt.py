@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -291,6 +290,7 @@ def map_replicas(f, replicas: int, seed: int, threads: int = 1,
 
     starts = range(0, replicas, block)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return np.concatenate(list(pool.map(run, starts)))
     return np.concatenate([run(start) for start in starts])
@@ -400,27 +400,37 @@ def weingarten_table(k: int, n: int) -> dict:
 
 
 @lru_cache(maxsize=4096)
-def _pattern_weights(pattern: tuple[int, ...], n: int) -> tuple[Fraction, ...]:
-    """Per lam in `integer_partitions(k)` order, 1 / (n)_lam times the sum
-    of chi^lam(sigma) over the sigma with rows[m] = cols[sigma(m)], for the
-    pattern rows + cols; empty when no sigma matches.  Guards k and n."""
+def _pattern_characters(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """Per lam in `integer_partitions(k)` order, the sum of chi^lam(sigma)
+    over the sigma with rows[m] = cols[sigma(m)], for the pattern rows +
+    cols; empty when no sigma matches.  Free of n."""
     k = len(pattern) // 2
-    coefficients = _weingarten_coefficients(k, n)
     types = [Permutation(s).cycle_type() for s in itertools.permutations(range(k))
              if all(pattern[m] == pattern[k + s[m]] for m in range(k))]
-    return tuple(c * sum(_character(lam, t) for t in types) for lam, c in
-                 zip(integer_partitions(k), coefficients)) if types else ()
+    return tuple(sum(_character(lam, t) for t in types)
+                 for lam in integer_partitions(k)) if types else ()
+
+
+def _pattern_weights(pattern: tuple[int, ...], n: int) -> tuple[Fraction, ...]:
+    """w_lam = `_pattern_characters` / (n)_lam per lam; empty when no sigma
+    matches.  Guards k and n before S_k is enumerated."""
+    coefficients = _weingarten_coefficients(len(pattern) // 2, n)
+    return tuple(c * s for c, s in zip(coefficients, _pattern_characters(pattern)))
 
 
 @lru_cache(maxsize=256)
 def _schur_values(eigs: tuple, k: int) -> tuple:
-    """s_lam(l) = sum_mu chi^lam(mu) p_mu(l) / z_mu per lam in
-    `integer_partitions(k)` order; z_mu = prod c^m m! over the parts c, m each."""
+    """s_lam(l) = (1/k!) sum_mu chi^lam(mu) (k!/z_mu) p_mu(l) per lam in
+    `integer_partitions(k)` order, k!/z_mu the size of the class mu (z_mu =
+    prod c^m m! over the parts c, m each): an integer sum for integer
+    eigenvalues, divided once (a float sum gives a float)."""
     power = [sum(x ** c for x in eigs) for c in range(k + 1)]
-    terms = [(mu, math.prod(power[c] for c in mu),
-              math.prod(c ** m * math.factorial(m) for c, m in Counter(mu).items()))
+    whole = math.factorial(k)
+    terms = [(mu, whole // math.prod(c ** m * math.factorial(m)
+                                     for c, m in Counter(mu).items())
+              * math.prod(power[c] for c in mu))
              for mu in integer_partitions(k)]
-    return tuple(sum(Fraction(_character(lam, mu), z) * p for mu, p, z in terms)
+    return tuple(sum(_character(lam, mu) * p for mu, p in terms) / Fraction(whole)
                  for lam in integer_partitions(k))
 
 

@@ -3,20 +3,34 @@ against; no code in `src` calls them."""
 
 import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
 from hofree import repunitary, rmt
-from hofree.cumulants import CumulantTable, MomentTable, moments_to_cumulants
+from hofree.cumulants import (
+    CumulantTable,
+    MomentTable,
+    cumulants_to_moments,
+    moments_to_cumulants,
+)
 from hofree.errors import GuardError, InvariantError
+from hofree.hof import _cycle_row, scaling_exponent
 from hofree.partperm import (
+    PartitionedPermutation,
     Permutation,
     SetPartition,
+    _coarsenings,
+    _join_cycles,
     _num_cycles,
+    conjugacy_key,
     contiguous_cycles,
     integer_partitions,
+    leq_pp,
     partitioned_permutations,
 )
 from hofree.repunitary import PushforwardStats, ShiftedWeight, weyl_dimension
@@ -131,6 +145,19 @@ def entry_moment_by_weingarten_sum(spec: rmt.EnsembleSpec, pairs) -> Fraction:
     return total * spec.eps ** k
 
 
+def schur_values_by_fractions(eigs, k: int) -> tuple:
+    """s_lam(l) = sum_mu chi^lam(mu) p_mu(l) / z_mu per lam in
+    `integer_partitions(k)` order, one Fraction chi^lam(mu) / z_mu per
+    term: the sum that `rmt._schur_values` takes over class sizes and
+    divides by k! once."""
+    power = [sum(x ** c for x in eigs) for c in range(k + 1)]
+    terms = [(mu, math.prod(power[c] for c in mu),
+              math.prod(c ** m * math.factorial(m) for c, m in Counter(mu).items()))
+             for mu in integer_partitions(k)]
+    return tuple(sum(Fraction(rmt._character(lam, mu), z) * p for mu, p, z in terms)
+                 for lam in integer_partitions(k))
+
+
 def complement_words(p: int) -> dict:
     """Tr (D - QD)^p = Tr D^p + sum of c Tr(N_b1 ... N_bj) over the items
     ((b1, ..., bj), c) of this table, N_b = G^-1 Z*D^bZ.  A word of the
@@ -219,6 +246,52 @@ def macro_by_pair(values: dict, n: int, powers):
         cycles = _num_cycles([gamma.images[j] for j in inv])
         total = total + kappa * Fraction(n) ** cycles
     return total
+
+
+def triangle_sweep_by_permutation(k: int) -> tuple:
+    """(summands, least e per gamma) as `hof._triangle_sweep` returns them,
+    by one pass per pi in S_k over the V >= C(pi): one cycle count
+    #(gamma pi^-1) per (pi, gamma), where the sweep plans once per cycle
+    partition and reads a table of #sigma."""
+    full = (0,) * k
+    gammas = [contiguous_cycles(*c).images for c in integer_partitions(k)]
+    tops = [k + len(c) - 2 for c in integer_partitions(k)]  # |(1, gamma)|
+    checked, least = 0, [None] * len(gammas)
+    connected: dict = {}  # per V, the gammas with V v C(gamma) = 1
+    for images in itertools.permutations(range(k)):
+        # e = |(0, gamma pi^-1)| + |(V, pi)| - |(1, gamma)| = d + |(V, pi)|
+        d = [k - c - t for c, t in zip(_cycle_row(images, gammas), tops)]
+        for block_of, length in _coarsenings(images):
+            if block_of not in connected:
+                connected[block_of] = [i for i, g in enumerate(gammas)
+                                       if _join_cycles(block_of, g) == full]
+            checked += len(connected[block_of])
+            for i in connected[block_of]:
+                e = d[i] + length
+                least[i] = e if least[i] is None else min(least[i], e)
+    return checked, tuple(least)
+
+
+def triangle_sweep_by_pairs(k: int) -> tuple:
+    """(summands, least e per gamma) over every (V, pi) built by
+    `partitioned_permutations` and every gamma with V v C(gamma) = 1, e
+    from `scaling_exponent`; `leq_pp((V, pi), (1, gamma))` must be e == 0."""
+    full = SetPartition.full(k)
+    pairs = list(partitioned_permutations(k))
+    checked, least = 0, []
+    for ctype in integer_partitions(k):
+        gamma = contiguous_cycles(*ctype)
+        top = PartitionedPermutation(full, gamma)
+        exponents = []
+        for vp in pairs:
+            if vp.partition.join(gamma.cycle_partition()) == full:
+                e = scaling_exponent(vp, gamma)
+                if leq_pp(vp, top) != (e == 0):
+                    raise InvariantError(f"leq_pp disagrees with e = {e} at {vp}")
+                exponents.append(e)
+        checked += len(exponents)
+        least.append(min(exponents))
+    return checked, tuple(least)
 
 
 def _chain_counts(entries: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
@@ -431,3 +504,83 @@ def lr_tensor_oracle(lam, mu, n: int) -> dict:
     dfs(0, lam2)
     return {ShiftedWeight.from_highest_weight(tuple(x - s - t for x in shape)): c
             for shape, c in counts.items()}
+
+
+def _mobius_whole(m: int) -> int:
+    # mu(0_m, 1_m) = (-1)^(m-1) (m-1)!
+    return (-1) ** (m - 1) * math.factorial(m - 1)
+
+
+def mobius(a: SetPartition, b: SetPartition) -> int:
+    """Mobius function of the interval [a, b] of the partition lattice.
+
+    The interval is a product of whole partition lattices, one per block of b,
+    so the value depends only on the number of a-blocks inside each b-block.
+    """
+    if not a.refines(b):
+        raise ValueError("a does not refine b")
+    a_ids = {}
+    for i, blk in enumerate(a.block_of):
+        a_ids.setdefault(blk, b.block_of[i])
+    counts: dict[int, int] = {}
+    for b_id in a_ids.values():
+        counts[b_id] = counts.get(b_id, 0) + 1
+    result = 1
+    for m in counts.values():
+        result *= _mobius_whole(m)
+    return result
+
+
+def interval(a: SetPartition, b: SetPartition) -> Iterator[SetPartition]:
+    """All c with a <= c <= b: the coarsenings of a's blocks that refine b."""
+    if not a.refines(b):
+        raise ValueError("a does not refine b")
+    images = Permutation.from_cycles(a.size, *a.blocks()).images
+    for block_of, _ in _coarsenings(images):
+        c = SetPartition(block_of)
+        if c.refines(b):
+            yield c
+
+
+def product_pp(a: PartitionedPermutation,
+               b: PartitionedPermutation) -> PartitionedPermutation | None:
+    """Partial product: (Va v Vb, pia*pib) if lengths add up, else None."""
+    if a.size != b.size:
+        raise ValueError("ground-set mismatch")
+    result = PartitionedPermutation(a.partition.join(b.partition),
+                                    a.permutation * b.permutation)
+    if a.length() + b.length() != result.length():
+        return None
+    return result
+
+
+def conjugate_pp(a: PartitionedPermutation, s: Permutation) -> PartitionedPermutation:
+    """Relabel the ground set by s: pi -> s pi s^-1, blocks mapped through s."""
+    perm = s * a.permutation * s.inverse()
+    blocks = [[s(i) for i in blk] for blk in a.partition.blocks()]
+    return PartitionedPermutation(
+        SetPartition.from_blocks(a.size, blocks), perm)
+
+
+def are_conjugate(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
+    """True iff some relabeling s maps a to b."""
+    if a.size != b.size:
+        raise ValueError("ground-set mismatch")
+    return conjugacy_key(a) == conjugacy_key(b)
+
+
+def cumulant_of_products(c: CumulantTable, grouping: SetPartition):
+    """Joint cumulant of the blockwise products (Leonov-Shiryaev).  A joint
+    moment of the products is the moment of the union of their blocks, which
+    for an interval grouping keeps the positions in order; the grouped moment
+    table is then inverted by the same recursion."""
+    if grouping.size != c.order:
+        raise ValueError("grouping size does not match table order")
+    blocks = grouping.blocks()
+    for blk in blocks:
+        if list(blk) != list(range(blk[0], blk[-1] + 1)):
+            raise ValueError("grouping must be an interval partition")
+    m = cumulants_to_moments(c)
+    grouped = MomentTable.from_function(
+        len(blocks), lambda t: m.block_value([e for j in t for e in blocks[j]]))
+    return moments_to_cumulants(grouped).top()

@@ -9,7 +9,6 @@ from hofree.cumulants import (
     CumulantTable,
     MomentTable,
     commutator_cumulant_sides,
-    cumulant_of_products,
     cumulants_to_moments,
     estimate_cumulants,
     merge_adjacent,
@@ -21,10 +20,11 @@ from hofree.partperm import (
     PartitionedPermutation,
     Permutation,
     SetPartition,
-    mobius,
     set_partitions,
 )
 from hofree.rmt import EnsembleSpec
+
+from oracles import cumulant_of_products, mobius
 
 
 class Discrete:

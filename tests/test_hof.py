@@ -7,6 +7,7 @@ import pytest
 from hofree.errors import GuardError
 from hofree.hof import (
     _cycle_row,
+    _triangle_sweep,
     block_cumulants,
     kappa_exact,
     kappa_mc,
@@ -29,7 +30,14 @@ from hofree.partperm import (
 )
 from hofree.rmt import EnsembleSpec, exact_entry_moment
 
-from oracles import compositions, entry_cumulants, kappa_by_pair, macro_by_pair
+from oracles import (
+    compositions,
+    entry_cumulants,
+    kappa_by_pair,
+    macro_by_pair,
+    triangle_sweep_by_pairs,
+    triangle_sweep_by_permutation,
+)
 
 
 FIXED = EnsembleSpec.fixed((3, 1, 0, -2), eps=Fraction(1, 2))
@@ -295,6 +303,18 @@ def test_cycle_row_counts_the_cycles_of_gamma_pi_inverse():
             inv = Permutation(images).inverse()
             row = _cycle_row(images, [g.images for g in gammas])
             assert list(row) == [(g * inv).num_cycles() for g in gammas]
+
+
+def test_triangle_sweep_matches_the_per_permutation_sweep_and_the_pairs():
+    # the sweep plans once per cycle partition and reads #(gamma sigma) from
+    # a table; the per-pi sweep and the enumeration of every (V, pi) with
+    # scaling_exponent and leq_pp give the same summand count and the same
+    # least exponent per gamma, which `holds` alone would not pin down
+    for k in range(1, 7):
+        got = _triangle_sweep(k)
+        assert got == triangle_sweep_by_permutation(k), k
+        assert got == triangle_sweep_by_pairs(k), k
+    assert _triangle_sweep(4) == (265, (0,) * 5)
 
 
 def test_join_with_pi_inverse_gamma_is_the_join_with_gamma():

@@ -12,18 +12,15 @@ from hofree.partperm import (
     Permutation,
     PartitionedPermutation,
     SetPartition,
-    are_conjugate,
     conjugacy_key,
-    conjugate_pp,
     contiguous_cycles,
-    interval,
     leq_pp,
-    mobius,
     partitioned_permutations,
-    product_pp,
     set_partitions,
 )
 from hofree.repunitary import ShiftedWeight, weyl_dimension
+
+from oracles import are_conjugate, conjugate_pp, interval, mobius, product_pp
 
 
 def brute_force_pp_count(k):

@@ -35,9 +35,7 @@ from hofree.partperm import (  # noqa: E402
     Permutation,
     SetPartition,
     conjugacy_key,
-    conjugate_pp,
     leq_pp,
-    product_pp,
 )
 from hofree.repunitary import (  # noqa: E402
     ShiftedWeight,
@@ -52,9 +50,11 @@ from hofree.rmt import EnsembleSpec  # noqa: E402
 
 from oracles import (  # noqa: E402
     compositions,
+    conjugate_pp,
     enumerated_restriction_means,
     lr_tensor_oracle,
     pieri_decompose,
+    product_pp,
     pushforward_stats,
 )
 

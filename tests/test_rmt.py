@@ -33,6 +33,7 @@ from oracles import (
     corner_by_qr,
     eigenvalues,
     entry_moment_by_weingarten_sum,
+    schur_values_by_fractions,
 )
 
 
@@ -450,6 +451,24 @@ def test_schur_dimension_is_the_weyl_dimension():
                                  lam + (0,) * (n - len(lam)))))
                     for lam in integer_partitions(k)]
             assert list(rmt._weingarten_coefficients(k, n)) == want, (k, n)
+
+
+def test_schur_values_match_the_fraction_sum():
+    # _schur_values sums chi^lam(mu) (k!/z_mu) p_mu(l) and divides by k!
+    # once: equal to the sum of Fraction terms for rational eigenvalues,
+    # and still a float, up to rounding, for float ones
+    for eigs in [(3, 1, 0, -2), (2, 2, -1, -1, 5), (7,),
+                 (Fraction(1, 2), Fraction(-3, 7), 2), (Fraction(5, 3),) * 2]:
+        for k in range(1, 6):
+            got = rmt._schur_values(eigs, k)
+            assert got == schur_values_by_fractions(eigs, k), (eigs, k)
+            assert all(isinstance(x, Fraction) for x in got)
+    eigs = (1.25, -0.5, 0.75, 2.0, -1.5)
+    for k in range(1, 6):
+        got, want = rmt._schur_values(eigs, k), schur_values_by_fractions(eigs, k)
+        assert all(type(x) is float for x in got)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w), (k, g, w)
 
 
 def test_entry_moment_of_one_haar_entry():

@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hofree"
@@ -15,6 +18,16 @@ def test_library_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")) and found == []
 
+
+def test_cli_import_leaves_out_what_only_some_commands_run():
+    # the thread pool (with logging and queue) runs only for --threads > 1
+    # and hashlib only in simulate, so importing the cli loads neither
+    code = ("import sys, hofree.cli; print(' '.join(m for m in "
+            "('concurrent.futures', 'hashlib', 'logging', 'queue') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.split() == []
 
 
 def _writes_a_file(f) -> bool:
